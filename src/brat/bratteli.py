@@ -519,13 +519,6 @@ def uhf_embeds(number: SupernaturalNumber, diagram: BratteliDiagram, depth: int)
     return "no-certified" if result.exactness == CERTIFIED else "no-within-depth"
 
 
-def _push_vector(diagram: BratteliDiagram, entries: tuple[int, ...], stage: int, to_stage: int) -> tuple[int, ...]:
-    v = entries
-    for n in range(stage + 1, to_stage + 1):
-        v = _mat_vec(diagram.matrix_at(n), v)
-    return v
-
-
 def _check_stage_vector(diagram: BratteliDiagram, entries: Sequence[int], stage: int, depth: int) -> tuple[int, ...]:
     if stage < 0 or stage > depth:
         raise DiagramError("stage %d outside 0..%d" % (stage, depth))
@@ -569,13 +562,13 @@ def scale_unit_stage(diagram: BratteliDiagram, x: Fraction, depth: int) -> Dimen
     denominator, as x times the height vector there.
     """
     x = Fraction(x)
-    profile = tower_profile(diagram, depth)
-    invariant = maximal_uhf(diagram, depth)
-    if not invariant.value.contains(x):
+    witness = k0_unit_divisor(diagram, x.denominator, depth)
+    if witness is not None:
+        # the denominator divides gcds[stage], hence gcds[depth]: x lies
+        # in the rational group of the invariant
+        return DimensionVector(witness.stage, tuple(e * x.numerator for e in witness.entries))
+    if not maximal_uhf(diagram, depth).value.contains(x):
         raise ValueError("%s lies outside the rational group of the invariant" % (x,))
-    for s in range(depth + 1):
-        if profile.gcds[s] % x.denominator == 0:
-            return DimensionVector(s, tuple(h * x.numerator // x.denominator for h in profile.heights[s]))
     raise DiagramError("denominator of %s not yet divisible at depth %d" % (x, depth))
 
 

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple, Optional
 
 from .bratteli import (
     BratteliDiagram,
-    Premorphism,
     canonical_premorphism,
     divide_element,
     k0_unit_divisor,
@@ -56,22 +57,23 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _emit(data) -> None:
-    sys.stdout.write(json.dumps(data) + "\n")
-
-
 def _emit_error(message: str, kind: str = "input") -> int:
     sys.stderr.write(json.dumps({"error": {"type": kind, "message": message}}) + "\n")
     return 2
 
 
-def _load_payload(source: str, want: str):
+def _catalog_entry(name: str):
+    try:
+        return get_entry(name)
+    except KeyError as exc:
+        raise InputError(str(exc)) from None
+
+
+def _load(source: str, want: str):
+    """The diagram or group (`want`) named by a file path or catalog:NAME."""
     if source.startswith("catalog:"):
         name = source[len("catalog:"):]
-        try:
-            entry = get_entry(name)
-        except KeyError as exc:
-            raise InputError(str(exc)) from None
+        entry = _catalog_entry(name)
         if entry.kind != want:
             raise InputError("catalog entry %r is a %s, not a %s" % (name, entry.kind, want))
         return entry.payload
@@ -85,14 +87,6 @@ def _load_payload(source: str, want: str):
     if want == "diagram":
         return BratteliDiagram.from_data(data)
     return group_from_data(data)
-
-
-def load_diagram(source: str) -> BratteliDiagram:
-    return _load_payload(source, "diagram")
-
-
-def load_group(source: str):
-    return _load_payload(source, "group")
 
 
 def group_to_data(group) -> dict:
@@ -153,211 +147,6 @@ def _parse_fraction(text: str) -> Fraction:
         raise InputError("bad rational %r: %s" % (text, exc)) from None
 
 
-def cmd_validate(args) -> int:
-    diagram = load_diagram(args.source)
-    problems = diagram.violations()
-    if not problems:
-        _emit({"ok": True})
-        return 0
-    _emit({
-        "ok": False,
-        "violations": [
-            {"kind": v.kind, "level": v.level, "position": v.position, "message": v.message}
-            for v in problems
-        ],
-    })
-    return 1
-
-
-def cmd_towers(args) -> int:
-    diagram = load_diagram(args.source)
-    depth = _depth_for(diagram, args.depth)
-    profile = tower_profile(diagram, depth)
-    _emit({
-        "depth": depth,
-        "heights": [list(v) for v in profile.heights],
-        "gcds": list(profile.gcds),
-        "ratios": list(profile.ratios),
-    })
-    return 0
-
-
-def cmd_odometer(args) -> int:
-    diagram = load_diagram(args.source)
-    depth = _depth_for(diagram, args.depth)
-    reduced = odometer(diagram, depth)
-    if args.format == "dot":
-        sys.stdout.write(export_dot(reduced, depth))
-    else:
-        _emit(reduced.to_data())
-    return 0
-
-
-def cmd_mu(args) -> int:
-    diagram = load_diagram(args.source)
-    depth = _depth_for(diagram, args.depth)
-    result = maximal_uhf(diagram, depth)
-    _emit({"mu": result.value.to_data(), "exactness": result.exactness})
-    return 0
-
-
-def cmd_premorphism(args) -> int:
-    diagram = load_diagram(args.source)
-    depth = _depth_for(diagram, args.depth)
-    premorphism = canonical_premorphism(diagram, depth)
-    if not args.verify:
-        _emit(premorphism.to_data())
-        return 0
-    report = verify_premorphism(premorphism, odometer(diagram, depth), diagram)
-    if report.ok:
-        _emit({"verified": True, "depth": depth})
-        return 0
-    _emit({"verified": False, "level": report.level, "kind": report.kind})
-    return 1
-
-
-def cmd_embed(args) -> int:
-    diagram = load_diagram(args.source)
-    depth = _depth_for(diagram, args.depth)
-    number = _parse_supernatural(args.uhf)
-    answer = uhf_embeds(number, diagram, depth)
-    _emit({"embeds": answer, "depth": depth})
-    return 0 if answer == "yes" else 1
-
-
-def cmd_k0_divides(args) -> int:
-    diagram = load_diagram(args.source)
-    depth = _depth_for(diagram, args.depth)
-    if args.n < 1:
-        raise InputError("--n must be a positive integer")
-    witness = k0_unit_divisor(diagram, args.n, depth)
-    if witness is None:
-        _emit({"witness": None, "depth": depth})
-        return 1
-    _emit({"stage": witness.stage, "vector": list(witness.entries)})
-    return 0
-
-
-def cmd_rsub(args) -> int:
-    diagram = load_diagram(args.source)
-    depth = _depth_for(diagram, args.depth)
-    found = rational_subgroup_witness(diagram, _parse_vector(args.vector), args.stage, depth)
-    if found is None:
-        _emit({"member": False, "reason": "no witness up to depth", "depth": depth})
-        return 1
-    value, stage = found
-    _emit({"member": True, "stage": stage, "lambda": str(value),
-           "m": value.denominator, "q": value.numerator})
-    return 0
-
-
-def cmd_theta(args) -> int:
-    diagram = load_diagram(args.source)
-    depth = _depth_for(diagram, args.depth)
-    witness = scale_unit_stage(diagram, _parse_fraction(args.x), depth)
-    _emit({"stage": witness.stage, "vector": list(witness.entries)})
-    return 0
-
-
-def cmd_divide(args) -> int:
-    diagram = load_diagram(args.source)
-    depth = _depth_for(diagram, args.depth)
-    if args.m < 1:
-        raise InputError("--m must be a positive integer")
-    witness = divide_element(diagram, _parse_vector(args.vector), args.stage, args.m, depth)
-    if witness is None:
-        _emit({"witness": None, "depth": depth})
-        return 1
-    _emit({"stage": witness.stage, "vector": list(witness.entries)})
-    return 0
-
-
-def cmd_telescope(args) -> int:
-    diagram = load_diagram(args.source)
-    cuts = _parse_vector(args.cuts)
-    _emit(telescope(diagram, cuts).to_data())
-    return 0
-
-
-def cmd_sn(args) -> int:
-    op = args.operation
-    if op == "ell":
-        if len(args.operands) != 2:
-            raise InputError("ell takes a supernatural number and a stage")
-        number = _parse_supernatural(args.operands[0])
-        try:
-            stage = int(args.operands[1])
-        except ValueError:
-            raise InputError("bad stage %r" % (args.operands[1],)) from None
-        _emit({"ell": number.ell(stage)})
-        return 0
-    numbers = [_parse_supernatural(text) for text in args.operands]
-    if op == "divides":
-        if len(numbers) != 2:
-            raise InputError("divides takes exactly two operands")
-        holds = numbers[0].divides(numbers[1])
-        _emit({"divides": holds})
-        return 0 if holds else 1
-    if op == "mul":
-        product = SupernaturalNumber()
-        for number in numbers:
-            product = product * number
-        _emit({"product": product.to_data()})
-        return 0
-    if op == "sup":
-        _emit({"sup": SupernaturalNumber.sup(numbers).to_data()})
-        return 0
-    if op == "inf":
-        if not numbers:
-            raise InputError("inf needs at least one operand")
-        _emit({"inf": SupernaturalNumber.inf(numbers).to_data()})
-        return 0
-    raise InputError("unknown sn operation %r" % (op,))
-
-
-def cmd_group(args) -> int:
-    group = load_group(args.source)
-    op = args.operation
-    if op == "propd":
-        report = coprime_divisor_property(group)
-        if report.holds:
-            _emit({"holds": True})
-            return 0
-        _emit({"holds": False, "counterexample": list(report.counterexample)})
-        return 1
-    if op == "maxsn":
-        number = max_supernatural(group)
-        if number is None:
-            _emit({"maxsn": None})
-            return 1
-        _emit({"maxsn": number.to_data()})
-        return 0
-    if op == "divides":
-        if args.n is None or args.n < 1:
-            raise InputError("divides needs --n with a positive integer")
-        witness = unit_divisor(group, args.n)
-        if witness is None:
-            _emit({"witness": None})
-            return 1
-        if isinstance(witness, QuadraticElement):
-            _emit({"witness": witness.to_data()})
-        else:
-            _emit({"witness": witness})
-        return 0
-    if op == "rsub":
-        if args.g is None:
-            raise InputError("rsub needs --g with a group element")
-        element = _parse_group_element(group, args.g)
-        found = rational_subgroup_member(group, element)
-        if found is None:
-            _emit({"member": False})
-            return 1
-        m, q = found
-        _emit({"member": True, "m": m, "q": q})
-        return 0
-    raise InputError("unknown group operation %r" % (op,))
-
-
 def _parse_group_element(group, text: str):
     if isinstance(group, CyclicOrderedGroup):
         try:
@@ -373,120 +162,226 @@ def _parse_group_element(group, text: str):
         raise InputError("bad quadratic element %r: %s" % (text, exc)) from None
 
 
-def cmd_catalog(args) -> int:
+# -- handlers: (args, loaded source or None, resolved depth or None) ->
+#    (exit status, payload); a str payload is written as is, anything
+#    else as one JSON line --------------------------------------------------
+
+def _stage_witness(witness, depth: int):
+    if witness is None:
+        return 1, {"witness": None, "depth": depth}
+    return 0, {"stage": witness.stage, "vector": list(witness.entries)}
+
+
+def _validate(args, diagram, depth):
+    problems = diagram.violations()
+    if not problems:
+        return 0, {"ok": True}
+    return 1, {
+        "ok": False,
+        "violations": [
+            {"kind": v.kind, "level": v.level, "position": v.position, "message": v.message}
+            for v in problems
+        ],
+    }
+
+
+def _towers(args, diagram, depth):
+    profile = tower_profile(diagram, depth)
+    return 0, {
+        "depth": depth,
+        "heights": [list(v) for v in profile.heights],
+        "gcds": list(profile.gcds),
+        "ratios": list(profile.ratios),
+    }
+
+
+def _odometer(args, diagram, depth):
+    reduced = odometer(diagram, depth)
+    return 0, export_dot(reduced, depth) if args.format == "dot" else reduced.to_data()
+
+
+def _mu(args, diagram, depth):
+    result = maximal_uhf(diagram, depth)
+    return 0, {"mu": result.value.to_data(), "exactness": result.exactness}
+
+
+def _premorphism(args, diagram, depth):
+    premorphism = canonical_premorphism(diagram, depth)
+    if not args.verify:
+        return 0, premorphism.to_data()
+    report = verify_premorphism(premorphism, odometer(diagram, depth), diagram)
+    if report.ok:
+        return 0, {"verified": True, "depth": depth}
+    return 1, {"verified": False, "level": report.level, "kind": report.kind}
+
+
+def _embed(args, diagram, depth):
+    answer = uhf_embeds(_parse_supernatural(args.uhf), diagram, depth)
+    return (0 if answer == "yes" else 1), {"embeds": answer, "depth": depth}
+
+
+def _k0_divides(args, diagram, depth):
+    if args.n < 1:
+        raise InputError("--n must be a positive integer")
+    return _stage_witness(k0_unit_divisor(diagram, args.n, depth), depth)
+
+
+def _rsub(args, diagram, depth):
+    found = rational_subgroup_witness(diagram, _parse_vector(args.vector), args.stage, depth)
+    if found is None:
+        return 1, {"member": False, "reason": "no witness up to depth", "depth": depth}
+    value, stage = found
+    return 0, {"member": True, "stage": stage, "lambda": str(value),
+               "m": value.denominator, "q": value.numerator}
+
+
+def _theta(args, diagram, depth):
+    return _stage_witness(scale_unit_stage(diagram, _parse_fraction(args.x), depth), depth)
+
+
+def _divide(args, diagram, depth):
+    if args.m < 1:
+        raise InputError("--m must be a positive integer")
+    vector = _parse_vector(args.vector)
+    return _stage_witness(divide_element(diagram, vector, args.stage, args.m, depth), depth)
+
+
+def _telescope(args, diagram, depth):
+    return 0, telescope(diagram, _parse_vector(args.cuts)).to_data()
+
+
+def _sn(args, subject, depth):
+    op, operands = args.operation, args.operands
+    if op == "ell":
+        if len(operands) != 2:
+            raise InputError("ell takes a supernatural number and a stage")
+        number = _parse_supernatural(operands[0])
+        try:
+            stage = int(operands[1])
+        except ValueError:
+            raise InputError("bad stage %r" % (operands[1],)) from None
+        return 0, {"ell": number.ell(stage)}
+    numbers = [_parse_supernatural(text) for text in operands]
+    if op == "divides":
+        if len(numbers) != 2:
+            raise InputError("divides takes exactly two operands")
+        holds = numbers[0].divides(numbers[1])
+        return (0 if holds else 1), {"divides": holds}
+    if op == "mul":
+        return 0, {"product": math.prod(numbers, start=SupernaturalNumber()).to_data()}
+    return 0, {op: getattr(SupernaturalNumber, op)(numbers).to_data()}  # sup or inf
+
+
+def _group(args, group, depth):
+    op = args.operation
+    if op == "propd":
+        report = coprime_divisor_property(group)
+        if report.holds:
+            return 0, {"holds": True}
+        return 1, {"holds": False, "counterexample": list(report.counterexample)}
+    if op == "maxsn":
+        number = max_supernatural(group)
+        return (1, {"maxsn": None}) if number is None else (0, {"maxsn": number.to_data()})
+    if op == "divides":
+        if args.n is None or args.n < 1:
+            raise InputError("divides needs --n with a positive integer")
+        witness = unit_divisor(group, args.n)
+        if isinstance(witness, QuadraticElement):
+            witness = witness.to_data()
+        return (1 if witness is None else 0), {"witness": witness}
+    if args.g is None:  # rsub
+        raise InputError("rsub needs --g with a group element")
+    found = rational_subgroup_member(group, _parse_group_element(group, args.g))
+    if found is None:
+        return 1, {"member": False}
+    return 0, {"member": True, "m": found[0], "q": found[1]}
+
+
+def _catalog(args, subject, depth):
     if args.name is None:
-        _emit({"entries": catalog_names(), "patterns": ["uhf-<n>"]})
-        return 0
-    try:
-        entry = get_entry(args.name)
-    except KeyError as exc:
-        raise InputError(str(exc)) from None
+        return 0, {"entries": catalog_names(), "patterns": ["uhf-<n>"]}
+    entry = _catalog_entry(args.name)
     payload = entry.payload.to_data() if entry.kind == "diagram" else group_to_data(entry.payload)
-    _emit({
+    return 0, {
         "name": entry.name,
         "kind": entry.kind,
         "note": entry.note,
         "payload": payload,
         "expected": entry.expected,
-    })
-    return 0
+    }
 
 
-def _add_source(parser) -> None:
-    parser.add_argument("source", help="diagram JSON file or catalog:NAME")
+# -- the command table ------------------------------------------------------
+
+class _Command(NamedTuple):
+    name: str
+    help: str
+    source: Optional[str]  # what the positional source loads: "diagram", "group" or None
+    depth: bool            # whether --depth applies
+    arguments: tuple       # extra (name, add_argument options) pairs, in help order
+    handler: Callable
 
 
-def _add_depth(parser) -> None:
-    parser.add_argument("--depth", type=int, default=None,
-                        help="levels to compute (default %d, capped at a finite "
-                             "diagram's length)" % DEFAULT_DEPTH)
+_STAGE = ("--stage", {"type": int, "required": True})
+_VECTOR = ("--vector", {"required": True, "help": "comma-separated integers"})
+
+_COMMANDS = (
+    _Command("validate", "check the structural rules of a diagram", "diagram", False, (), _validate),
+    _Command("towers", "heights, gcds, and ratios per level", "diagram", True, (), _towers),
+    _Command("odometer", "the single-vertex ratio diagram", "diagram", True,
+             (("--format", {"choices": ("json", "dot"), "default": "json"}),), _odometer),
+    _Command("mu", "supernatural invariant of the maximal UHF subalgebra", "diagram", True,
+             (), _mu),
+    _Command("premorphism", "canonical odometer premorphism", "diagram", True,
+             (("--verify", {"action": "store_true", "help": "check the commuting squares"}),),
+             _premorphism),
+    _Command("embed", "does the given UHF algebra embed unitally", "diagram", True,
+             (("--uhf", {"required": True, "help": "supernatural number as JSON"}),), _embed),
+    _Command("k0-divides", "stage witness that n divides the unit class", "diagram", True,
+             (("--n", {"type": int, "required": True}),), _k0_divides),
+    _Command("rsub", "rational-subgroup membership of a stage vector", "diagram", True,
+             (_STAGE, _VECTOR), _rsub),
+    _Command("theta", "represent x*[unit] as a stage vector", "diagram", True,
+             (("--x", {"required": True, "help": "rational like 5/6"}),), _theta),
+    _Command("divide", "divide a stage vector by m in K0", "diagram", True,
+             (_STAGE, _VECTOR, ("--m", {"type": int, "required": True})), _divide),
+    _Command("telescope", "compose matrices between cut points", "diagram", False,
+             (("--cuts", {"required": True, "help": "comma-separated increasing levels"}),),
+             _telescope),
+    _Command("sn", "supernatural-number arithmetic", None, False, (
+        ("operation", {"choices": ("divides", "mul", "sup", "inf", "ell")}),
+        ("operands", {"nargs": "+", "help": "supernatural numbers as JSON; "
+                                            "ell takes one plus a stage index"}),
+    ), _sn),
+    _Command("group", "ordered-group divisibility", "group", False, (
+        ("operation", {"choices": ("propd", "maxsn", "divides", "rsub")}),
+        ("--n", {"type": int, "default": None, "help": "divisor (divides)"}),
+        ("--g", {"default": None, "help": "element: integer, or 'q,z' (rsub)"}),
+    ), _group),
+    _Command("catalog", "list or show built-in examples", None, False,
+             (("name", {"nargs": "?", "default": None}),), _catalog),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="brat", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("validate", help="check the structural rules of a diagram")
-    _add_source(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = commands.add_parser("towers", help="heights, gcds, and ratios per level")
-    _add_source(p)
-    _add_depth(p)
-    p.set_defaults(func=cmd_towers)
-
-    p = commands.add_parser("odometer", help="the single-vertex ratio diagram")
-    _add_source(p)
-    _add_depth(p)
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(func=cmd_odometer)
-
-    p = commands.add_parser("mu", help="supernatural invariant of the maximal UHF subalgebra")
-    _add_source(p)
-    _add_depth(p)
-    p.set_defaults(func=cmd_mu)
-
-    p = commands.add_parser("premorphism", help="canonical odometer premorphism")
-    _add_source(p)
-    _add_depth(p)
-    p.add_argument("--verify", action="store_true", help="check the commuting squares")
-    p.set_defaults(func=cmd_premorphism)
-
-    p = commands.add_parser("embed", help="does the given UHF algebra embed unitally")
-    _add_source(p)
-    _add_depth(p)
-    p.add_argument("--uhf", required=True, help="supernatural number as JSON")
-    p.set_defaults(func=cmd_embed)
-
-    p = commands.add_parser("k0-divides", help="stage witness that n divides the unit class")
-    _add_source(p)
-    _add_depth(p)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_k0_divides)
-
-    p = commands.add_parser("rsub", help="rational-subgroup membership of a stage vector")
-    _add_source(p)
-    _add_depth(p)
-    p.add_argument("--stage", type=int, required=True)
-    p.add_argument("--vector", required=True, help="comma-separated integers")
-    p.set_defaults(func=cmd_rsub)
-
-    p = commands.add_parser("theta", help="represent x*[unit] as a stage vector")
-    _add_source(p)
-    _add_depth(p)
-    p.add_argument("--x", required=True, help="rational like 5/6")
-    p.set_defaults(func=cmd_theta)
-
-    p = commands.add_parser("divide", help="divide a stage vector by m in K0")
-    _add_source(p)
-    _add_depth(p)
-    p.add_argument("--stage", type=int, required=True)
-    p.add_argument("--vector", required=True, help="comma-separated integers")
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=cmd_divide)
-
-    p = commands.add_parser("telescope", help="compose matrices between cut points")
-    _add_source(p)
-    p.add_argument("--cuts", required=True, help="comma-separated increasing levels")
-    p.set_defaults(func=cmd_telescope)
-
-    p = commands.add_parser("sn", help="supernatural-number arithmetic")
-    p.add_argument("operation", choices=("divides", "mul", "sup", "inf", "ell"))
-    p.add_argument("operands", nargs="+",
-                   help="supernatural numbers as JSON; ell takes one plus a stage index")
-    p.set_defaults(func=cmd_sn)
-
-    p = commands.add_parser("group", help="ordered-group divisibility")
-    p.add_argument("operation", choices=("propd", "maxsn", "divides", "rsub"))
-    p.add_argument("source", help="group JSON file or catalog:NAME")
-    p.add_argument("--n", type=int, default=None, help="divisor (divides)")
-    p.add_argument("--g", default=None, help="element: integer, or 'q,z' (rsub)")
-    p.set_defaults(func=cmd_group)
-
-    p = commands.add_parser("catalog", help="list or show built-in examples")
-    p.add_argument("name", nargs="?", default=None)
-    p.set_defaults(func=cmd_catalog)
-
+    for command in _COMMANDS:
+        p = commands.add_parser(command.name, help=command.help)
+        # positional extras precede the source; --depth precedes other options
+        positionals = [arg for arg in command.arguments if not arg[0].startswith("-")]
+        options = [arg for arg in command.arguments if arg[0].startswith("-")]
+        for name, spec in positionals:
+            p.add_argument(name, **spec)
+        if command.source is not None:
+            p.add_argument("source", help="%s JSON file or catalog:NAME" % command.source)
+        if command.depth:
+            p.add_argument("--depth", type=int, default=None,
+                           help="levels to compute (default %d, capped at a finite "
+                                "diagram's length)" % DEFAULT_DEPTH)
+        for name, spec in options:
+            p.add_argument(name, **spec)
+        p.set_defaults(row=command)
     return parser
 
 
@@ -494,9 +389,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except InputError as exc:
-        return _emit_error(str(exc))
+        command = args.row
+        subject = None if command.source is None else _load(args.source, command.source)
+        depth = _depth_for(subject, args.depth) if command.depth else None
+        status, payload = command.handler(args, subject, depth)
+        # Emission stays inside the try: json.dumps refuses integers past
+        # Python's digit limit with a ValueError, which must exit 2.
+        sys.stdout.write(payload if isinstance(payload, str) else json.dumps(payload) + "\n")
+        return status
     except ValueError as exc:
         return _emit_error(str(exc))
 

@@ -8,7 +8,7 @@ target index.
 
 from __future__ import annotations
 
-from .bratteli import BratteliDiagram, tower_profile
+from .bratteli import BratteliDiagram, _validated_depth
 
 PARALLEL_EDGE_LIMIT = 4
 
@@ -16,7 +16,7 @@ PARALLEL_EDGE_LIMIT = 4
 def export_dot(diagram: BratteliDiagram, depth: int) -> str:
     """Render the first `depth` levels as a DOT digraph."""
     diagram.check()
-    tower_profile(diagram, depth)  # validates the depth request
+    _validated_depth(diagram, depth)
     lines = ["digraph bratteli {", "  rankdir=TB;", '  node [shape=circle, label=""];']
     for level in range(depth + 1):
         names = " ".join("v_%d_%d;" % (level, i) for i in range(diagram.width_at(level)))

@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 import random
 
-# Deterministic witness set for n < 3.3e24, comfortably past 2**64.
+# Deterministic witness set for n < 2**64.  These twelve bases stop
+# being enough at 318665857834031151167461 (~3.2e23), a strong
+# pseudoprime to all of them; the often-quoted 3.3e24 bound needs base 41.
 _SMALL_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)

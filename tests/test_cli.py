@@ -1,6 +1,8 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -77,6 +79,15 @@ class TestTowers:
         status, _, err = run(capsys, "towers", E55, "--depth", "-3")
         assert status == 2
         assert "nonnegative" in json.loads(err)["error"]["message"]
+
+    def test_unprintable_heights_are_an_error_with_nothing_on_stdout(self, capsys, tmp_path):
+        # level 2 heights have 8001 digits, past what json.dumps will print
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"levels": [1, 1, 1], "matrices": [[[10**4000]], [[10**4000]]]}))
+        status, out, err = run(capsys, "towers", str(path), "--depth", "2")
+        assert (status, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
 
 
 class TestMu:
@@ -478,6 +489,30 @@ class TestSerializationRoundTrips:
 
         text = json.dumps(number.to_data())
         assert SupernaturalNumber.from_data(json.loads(text)) == number
+
+
+def readme_cli_examples():
+    """(argv, expected stdout) for each `$ brat ...` example in the README's
+    CLI section, leaving out those that need files outside the repository
+    or whose output is elided."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in section.split("\n\n"):
+        lines = block.strip("`\n").splitlines()
+        if not lines or not lines[0].startswith("$ brat "):
+            continue
+        argv, output = shlex.split(lines[0])[2:], "".join(line + "\n" for line in lines[1:])
+        if "my-diagram.json" not in argv and "{ ... }" not in output:
+            examples.append((argv, output))
+    return examples
+
+
+@pytest.mark.parametrize("example", readme_cli_examples(), ids=lambda example: " ".join(example[0]))
+def test_readme_cli_example(capsys, example):
+    argv, expected = example
+    _, out, err = run(capsys, *argv)
+    assert (out, err) == (expected, "")
 
 
 def test_module_entry_point():

@@ -22,6 +22,10 @@ def test_known_composites_and_primes():
     assert not is_prime(561)  # Carmichael
     assert not is_prime(2**64 + 1)
     assert is_prime(2**89 - 1)  # above the deterministic range
+    assert is_prime(2**64 + 13) is True  # the smallest prime above 2**64
+    # 399165290221 * 798330580441 passes Miller-Rabin for every base 2..37,
+    # so only the randomized rounds above 2**64 can reject it.
+    assert is_prime(318665857834031151167461) is False
 
 
 @given(st.integers(2, 10**9))
