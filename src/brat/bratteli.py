@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .primes import factorize, first_primes
+from .primes import factorize, prime_index
 from .supernatural import OMEGA, Exponent, SupernaturalNumber
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -69,10 +69,6 @@ def _mat_vec(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
     if any(len(row) != len(v) for row in a):
         raise ValueError("matrix/vector shape mismatch")
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
-
-
-def _identity(k: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
 
 
 @dataclass(frozen=True)
@@ -309,18 +305,11 @@ def _validated_depth(diagram: BratteliDiagram, depth: int) -> int:
 
 def tower_profile(diagram: BratteliDiagram, depth: int) -> TowerProfile:
     """Heights, gcds, and ratios down to `depth`."""
-    diagram.check()
-    depth = _validated_depth(diagram, depth)
-    heights: list[tuple[int, ...]] = [(1,)]
-    gcds = [1]
-    ratios: list[int] = []
-    for n in range(1, depth + 1):
-        v = _mat_vec(diagram.matrix_at(n), heights[-1])
-        h = math.gcd(*v)
-        heights.append(v)
-        ratios.append(h // gcds[-1])
-        gcds.append(h)
-    return TowerProfile(tuple(heights), tuple(gcds), tuple(ratios))
+    heights: list[tuple[int, ...]] = []
+    # the predicate records every level and never holds, so the search visits them all
+    _first_stage(diagram, (1,), 0, depth, lambda s, v: heights.append(v))
+    gcds = tuple(math.gcd(*v) for v in heights)
+    return TowerProfile(tuple(heights), gcds, tuple(b // a for a, b in zip(gcds, gcds[1:])))
 
 
 def _normalized_heights(profile: TowerProfile) -> list[tuple[int, ...]]:
@@ -402,39 +391,29 @@ def uhf_diagram(number: SupernaturalNumber, stages: int) -> BratteliDiagram:
     """The canonical single-vertex diagram of the UHF algebra M_N.
 
     Stage j has size ell(j), so the matrices are the successive ratios
-    ell(j) / ell(j-1).  The tail repeats exactly when the ratio has
-    stabilized: past all finite exponents and all support primes the
-    ratio is the product of the OMEGA primes forever.
+    ell(j) / ell(j-1), computed once by _uhf_ratios.  The tail repeats
+    exactly when the ratio has stabilized: past all finite exponents and
+    all support primes the ratio is the product of the OMEGA primes forever.
     """
     if stages < 1:
         raise ValueError("stages must be >= 1, got %r" % (stages,))
-    omega_product = 1
-    horizon = 1
-    for p, e in number.items():
-        index = _prime_index(p)
-        if e is OMEGA:
-            omega_product *= p
-            horizon = max(horizon, index + 1)
-        else:
-            horizon = max(horizon, index + 1, e + 1)
-    ells = [1] + [number.ell(j) for j in range(1, max(stages, horizon) + 1)]
-    ratios = [ells[j] // ells[j - 1] for j in range(1, len(ells))]
-    stable = all(r == omega_product for r in ratios[stages - 1:horizon])
+    ratios = _uhf_ratios(number, stages)
     return BratteliDiagram(
         levels=(1,) * (stages + 1),
         matrices=tuple(((r,),) for r in ratios[:stages]),
-        tail=REPEAT_LAST if stable else None,
+        tail=REPEAT_LAST if set(ratios[stages - 1:]) == {ratios[-1]} else None,
     )
 
 
-def _prime_index(p: int) -> int:
-    # 1-based position of a prime in the increasing prime sequence
-    count = 8
-    while True:
-        primes = first_primes(count)
-        if primes[-1] >= p:
-            return primes.index(p) + 1
-        count *= 2
+def _uhf_ratios(number: SupernaturalNumber, stages: int = 1) -> list[int]:
+    # ell(j) / ell(j-1) up to the stage or the horizon, whichever is later;
+    # each ell(j) is a product over the support, and from the horizon on
+    # the ratio is the OMEGA product, so the last ratio is that product.
+    index = {p: prime_index(p) for p in number.primes}
+    horizon = max([1] + [max(index[p], 0 if e is OMEGA else e) + 1 for p, e in number.items()])
+    ells = [math.prod(p ** (j if e is OMEGA else min(j, e)) for p, e in number.items() if index[p] <= j)
+            for j in range(max(stages, horizon) + 1)]
+    return [b // a for a, b in zip(ells, ells[1:])]
 
 
 def canonical_premorphism(diagram: BratteliDiagram, depth: int) -> Premorphism:
@@ -452,8 +431,9 @@ def canonical_premorphism(diagram: BratteliDiagram, depth: int) -> Premorphism:
 
 
 def _interval_product(diagram: BratteliDiagram, a: int, b: int) -> Matrix:
-    product = _identity(diagram.width_at(a))
-    for n in range(a + 1, b + 1):
+    # M_b * ... * M_{a+1}; callers pass a < b
+    product = diagram.matrix_at(a + 1)
+    for n in range(a + 2, b + 1):
         product = _mat_mul(diagram.matrix_at(n), product)
     return product
 
@@ -484,8 +464,9 @@ def verify_premorphism(
             return PremorphismReport(False, n, "shape")
     for n in range(depth):
         lhs = _mat_mul(premorphism.matrices[n + 1], source.matrix_at(n + 1))
-        bridge = _interval_product(target, premorphism.level_map[n], premorphism.level_map[n + 1])
-        rhs = _mat_mul(bridge, premorphism.matrices[n])
+        rhs = premorphism.matrices[n]
+        for k in range(premorphism.level_map[n] + 1, premorphism.level_map[n + 1] + 1):
+            rhs = _mat_mul(target.matrix_at(k), rhs)
         if lhs != rhs:
             return PremorphismReport(False, n, "commutativity")
     return PremorphismReport(True)
@@ -499,11 +480,8 @@ def k0_unit_divisor(diagram: BratteliDiagram, n: int, depth: int) -> Optional[Di
     """
     if n < 1:
         raise ValueError("divisor must be a positive integer, got %r" % (n,))
-    profile = tower_profile(diagram, depth)
-    for s in range(depth + 1):
-        if profile.gcds[s] % n == 0:
-            return DimensionVector(s, tuple(x // n for x in profile.heights[s]))
-    return None
+    hit = _first_stage(diagram, (1,), 0, depth, lambda s, v: all(x % n == 0 for x in v))
+    return None if hit is None else DimensionVector(hit[0], tuple(x // n for x in hit[1]))
 
 
 def uhf_embeds(number: SupernaturalNumber, diagram: BratteliDiagram, depth: int) -> str:
@@ -519,14 +497,24 @@ def uhf_embeds(number: SupernaturalNumber, diagram: BratteliDiagram, depth: int)
     return "no-certified" if result.exactness == CERTIFIED else "no-within-depth"
 
 
-def _check_stage_vector(diagram: BratteliDiagram, entries: Sequence[int], stage: int, depth: int) -> tuple[int, ...]:
+def _first_stage(diagram: BratteliDiagram, entries: Sequence[int], stage: int, depth: int, holds):
+    """(s, v) at the first level s in stage..depth where holds(s, v), v being
+    `entries` pushed from level `stage` to s, or None.  The diagram, depth,
+    stage and vector are validated once, in that order, before any push."""
+    diagram.check()
+    _validated_depth(diagram, depth)
     if stage < 0 or stage > depth:
         raise DiagramError("stage %d outside 0..%d" % (stage, depth))
-    entries = tuple(int(e) for e in entries)
-    if len(entries) != diagram.width_at(stage):
+    v = tuple(int(e) for e in entries)
+    if len(v) != diagram.width_at(stage):
         raise DiagramError("vector length %d does not match the %d vertices at level %d"
-                           % (len(entries), diagram.width_at(stage), stage))
-    return entries
+                           % (len(v), diagram.width_at(stage), stage))
+    for s in range(stage, depth + 1):
+        if s > stage:
+            v = _mat_vec(diagram.matrix_at(s), v)
+        if holds(s, v):
+            return s, v
+    return None
 
 
 def rational_subgroup_witness(
@@ -540,18 +528,10 @@ def rational_subgroup_witness(
     at the first hit, or None if no stage up to `depth` works; absence
     within depth is not a certificate.
     """
-    diagram.check()
-    _validated_depth(diagram, depth)
-    entries = _check_stage_vector(diagram, entries, stage, depth)
-    profile = tower_profile(diagram, depth)
-    v = entries
-    for s in range(stage, depth + 1):
-        if s > stage:
-            v = _mat_vec(diagram.matrix_at(s), v)
-        ref = profile.heights[s]
-        if all(v[i] * ref[0] == v[0] * ref[i] for i in range(len(v))):
-            return (Fraction(v[0], ref[0]), s)
-    return None
+    heights = tower_profile(diagram, depth).heights
+    hit = _first_stage(diagram, entries, stage, depth,
+                       lambda s, v: all(x * heights[s][0] == v[0] * h for x, h in zip(v, heights[s])))
+    return None if hit is None else (Fraction(hit[1][0], heights[hit[0]][0]), hit[0])
 
 
 def scale_unit_stage(diagram: BratteliDiagram, x: Fraction, depth: int) -> DimensionVector:
@@ -583,18 +563,15 @@ def divide_element(
     """
     if m < 1:
         raise ValueError("divisor must be a positive integer, got %r" % (m,))
-    diagram.check()
-    _validated_depth(diagram, depth)
-    entries = _check_stage_vector(diagram, entries, stage, depth)
-    if any(e < 0 for e in entries):
-        raise ValueError("entries must be nonnegative")
-    v = entries
-    for s in range(stage, depth + 1):
-        if s > stage:
-            v = _mat_vec(diagram.matrix_at(s), v)
-        if all(e % m == 0 for e in v):
-            return DimensionVector(s, tuple(e // m for e in v))
-    return None
+
+    def divisible(s, v):
+        # the first call sees the validated input vector itself
+        if s == stage and any(e < 0 for e in v):
+            raise ValueError("entries must be nonnegative")
+        return all(e % m == 0 for e in v)
+
+    hit = _first_stage(diagram, entries, stage, depth, divisible)
+    return None if hit is None else DimensionVector(hit[0], tuple(e // m for e in hit[1]))
 
 
 def telescope(diagram: BratteliDiagram, cut_points: Sequence[int]) -> BratteliDiagram:

@@ -17,9 +17,9 @@ Fixed entries:
                      subgroup of the unit is exactly the rational part
 
 The name uhf-<n> is accepted for every positive integer n and builds
-the single-vertex diagram of the supernatural number of n, carried far
-enough that the stage ratios have stabilized and the tail repeats; the
-certified invariant is then exactly the factorization of n.
+the single-vertex diagram of the supernatural number of n up to the
+first stage from which every stage ratio is 1, where the tail repeats;
+the certified invariant is then exactly the factorization of n.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .bratteli import BratteliDiagram, uhf_diagram
+from .bratteli import REPEAT_LAST, BratteliDiagram, _uhf_ratios
 from .ordered_group import CyclicOrderedGroup, QuadraticElement, QuadraticIrrationalGroup
 from .supernatural import OMEGA, SupernaturalNumber
 
@@ -149,8 +149,11 @@ def get_entry(name: str) -> CatalogEntry:
         if suffix.isdigit() and int(suffix) >= 1:
             n = int(suffix)
             number = SupernaturalNumber.from_int(n)
-            diagram = uhf_diagram(number, max(_stabilization_stage(number), 1))
-            diagram = BratteliDiagram(diagram.levels, diagram.matrices, diagram.tail, name)
+            ratios = _uhf_ratios(number)
+            # the tail repeats from the stage after the last ratio off its limit
+            stage = 1 + max((j for j, r in enumerate(ratios, 1) if r != ratios[-1]), default=0)
+            diagram = BratteliDiagram((1,) * (stage + 1), tuple(((r,),) for r in ratios[:stage]),
+                                      REPEAT_LAST, name)
             return CatalogEntry(
                 name=name,
                 kind="diagram",
@@ -162,15 +165,6 @@ def get_entry(name: str) -> CatalogEntry:
                 },
             )
     raise KeyError("unknown catalog entry %r" % (name,))
-
-
-def _stabilization_stage(number: SupernaturalNumber) -> int:
-    # smallest stage from which the uhf_diagram tail repeats
-    stage = 1
-    while True:
-        if uhf_diagram(number, stage).tail == "repeat-last":
-            return stage
-        stage += 1
 
 
 def diagram_entries() -> list[CatalogEntry]:

@@ -399,6 +399,8 @@ def main(argv=None) -> int:
         return status
     except ValueError as exc:
         return _emit_error(str(exc))
+    except MemoryError:
+        return _emit_error("out of memory", "limit")
 
 
 def run() -> None:

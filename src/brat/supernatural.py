@@ -13,6 +13,7 @@ OMEGA absorbs addition and dominates every natural in the order.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -180,15 +181,13 @@ class SupernaturalNumber:
         p_i ** min(j, exponent(p_i)), with min(j, OMEGA) = j.
 
         The stages form a divisibility chain ell(1) | ell(2) | ... whose
-        supernatural limit recovers self.
+        supernatural limit recovers self.  Only the first j primes are
+        enumerated, however large the primes of the support.
         """
         if j < 1:
             raise ValueError("stage index must be >= 1, got %r" % (j,))
-        value = 1
-        for p in first_primes(j):
-            e = self.exponent(p)
-            value *= p ** (j if e is OMEGA else min(j, e))
-        return value
+        last = first_primes(j)[-1]
+        return math.prod(p ** (j if e is OMEGA else min(j, e)) for p, e in self._items if p <= last)
 
     def contains(self, x: Fraction) -> bool:
         """Whether x lies in Q(self): every prime power of the

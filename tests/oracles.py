@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from brat.bratteli import BratteliDiagram
+from brat.bratteli import REPEAT_LAST, BratteliDiagram, uhf_diagram
 from brat.ordered_group import CyclicOrderedGroup
 
 
@@ -161,3 +161,12 @@ def naive_ell(exponents: dict[int, int | None], j: int) -> int:
             e = exponents[p]
             value *= p ** (j if e is None else min(j, e))
     return value
+
+
+def stabilization_stage(number) -> int:
+    """Smallest stage from which the uhf_diagram tail repeats, found by
+    building the diagram at stage 1, 2, 3, ... in turn."""
+    stage = 1
+    while uhf_diagram(number, stage).tail != REPEAT_LAST:
+        stage += 1
+    return stage

@@ -28,7 +28,7 @@ from brat.bratteli import (
 from brat.catalog import get_entry
 from brat.supernatural import OMEGA, SupernaturalNumber
 from gen import diagrams, random_diagram, supernaturals
-from oracles import edge_walk_heights, enumerated_path_heights
+from oracles import edge_walk_heights, enumerated_path_heights, naive_ell, stabilization_stage
 
 E55 = get_entry("example-5.5").payload
 FINDIM = get_entry("findim-4-6").payload
@@ -296,6 +296,34 @@ class TestUhfDiagram:
             result = maximal_uhf(entry.payload, entry.payload.given_depth + 1)
             assert result.value == SupernaturalNumber.from_int(n)
             assert result.exactness == CERTIFIED
+
+    @given(supernaturals(max_exponent=6, max_size=4), st.integers(1, 30))
+    def test_ratios_match_naive_stages(self, number, stages):
+        raw = {p: (None if e is OMEGA else e) for p, e in number.items()}
+        # the support lies in the first 8 primes and finite exponents are
+        # at most 6, so from stage 9 on every ratio is the OMEGA product
+        ells = [naive_ell(raw, j) for j in range(max(stages, 9) + 1)]
+        ratios = [b // a for a, b in zip(ells, ells[1:])]
+        limit = math.prod(p for p, e in raw.items() if e is None)
+        diagram = uhf_diagram(number, stages)
+        assert diagram.matrices == tuple(((r,),) for r in ratios[:stages])
+        assert diagram.is_infinite == all(r == limit for r in ratios[stages - 1:])
+
+    def test_catalog_uhf_stage_count_matches_oracle(self):
+        for n in range(1, 301):
+            number = SupernaturalNumber.from_int(n)
+            stage = stabilization_stage(number)
+            payload = get_entry("uhf-%d" % n).payload
+            assert payload.given_depth == stage
+            reference = uhf_diagram(number, stage)
+            assert payload == BratteliDiagram(reference.levels, reference.matrices, reference.tail, "uhf-%d" % n)
+
+    def test_uhf_1009_smoke(self):
+        diagram = get_entry("uhf-1009").payload
+        assert diagram.given_depth == 170
+        assert diagram.matrix_at(169) == ((1009,),)
+        assert diagram.tail == REPEAT_LAST
+        assert diagram.matrix_at(170) == diagram.matrix_at(171) == ((1,),)
 
 
 class TestPremorphism:
@@ -572,3 +600,45 @@ class TestTelescope:
             scoped = telescope(E55, cuts)
             assert scoped.tail == REPEAT_LAST
             assert maximal_uhf(scoped, len(cuts) + 3).value == N3W
+
+
+# a valid shape with a negative multiplicity
+NEGATIVE = BratteliDiagram((1, 2), (((1,), (-1,)),))
+INVALID = "invalid diagram: negative multiplicity in row 1"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: k0_unit_divisor(NEGATIVE, 2, -1), DiagramError, INVALID),
+        (lambda: k0_unit_divisor(NEGATIVE, 0, 1), ValueError,
+         "divisor must be a positive integer, got 0"),
+        (lambda: rational_subgroup_witness(NEGATIVE, (1,), 7, 1), DiagramError, INVALID),
+        (lambda: rational_subgroup_witness(E55, (1, 2, 3), 1, -1), DiagramError,
+         "depth must be a nonnegative integer, got -1"),
+        (lambda: rational_subgroup_witness(E55, (-1, 2), 9, 3), DiagramError, "stage 9 outside 0..3"),
+        (lambda: divide_element(NEGATIVE, (1,), 7, 2, 1), DiagramError, INVALID),
+        (lambda: divide_element(NEGATIVE, (1,), 0, 0, 1), ValueError,
+         "divisor must be a positive integer, got 0"),
+        (lambda: divide_element(FINDIM, (1, 2, 3), 1, 2, 4), DiagramError,
+         "depth 4 exceeds the 1 levels of a finite diagram"),
+        (lambda: divide_element(E55, (-1, 2), 9, 2, 3), DiagramError, "stage 9 outside 0..3"),
+        (lambda: divide_element(E55, (-1, 2, 3), 1, 2, 3), DiagramError,
+         "vector length 3 does not match the 2 vertices at level 1"),
+        (lambda: scale_unit_stage(NEGATIVE, Fraction(1, 3), -1), DiagramError, INVALID),
+        (lambda: scale_unit_stage(E55, Fraction(1, 2), -1), DiagramError,
+         "depth must be a nonnegative integer, got -1"),
+    ],
+    ids=[
+        "k0-invalid-and-depth", "k0-divisor-and-invalid",
+        "rsub-invalid-and-stage", "rsub-depth-and-length", "rsub-negative-and-stage",
+        "divide-invalid-and-stage", "divide-divisor-and-invalid", "divide-depth-and-length",
+        "divide-negative-and-stage", "divide-negative-and-length",
+        "scale-invalid-and-depth", "scale-outside-and-depth",
+    ],
+)
+def test_stage_search_error_order(call, error, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

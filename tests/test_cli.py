@@ -1,4 +1,5 @@
 import json
+import resource
 import shlex
 import subprocess
 import sys
@@ -524,3 +525,28 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == '{"mu": {"3": "inf"}, "exactness": "certified"}\n'
+
+
+def capped_brat(*argv):
+    """`python -m brat` in a child whose address space is capped at 512 MB."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    return subprocess.run([sys.executable, "-m", "brat", *argv],
+                          capture_output=True, text=True, timeout=60, preexec_fn=cap)
+
+
+def test_out_of_memory_is_a_limit_error_not_a_no(tmp_path):
+    # the residue table of the smallest generator would take about 16 GB
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"kind": "cyclic", "generators": [2000000000, 2000000001],
+                                "unit": 4000000001}))
+    proc = capped_brat("group", "divides", str(path), "--n", "1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert json.loads(proc.stderr) == {"error": {"type": "limit", "message": "out of memory"}}
+
+
+def test_ell_never_sieves_up_to_a_support_prime():
+    proc = capped_brat("sn", "ell", '{"1000000007": 1}', "5")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{"ell": 1}\n', "")
