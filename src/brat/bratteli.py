@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .primes import factorize, prime_index
@@ -54,21 +55,13 @@ def _as_matrix(rows) -> Matrix:
     return tuple(out)
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not b or len(a[0]) != len(b):
-        raise ValueError("matrix shape mismatch: %dx%d by %dx%d"
-                         % (len(a), len(a[0]) if a else 0, len(b), len(b[0]) if b else 0))
-    width = len(b[0])
-    return tuple(
-        tuple(sum(arow[k] * b[k][j] for k in range(len(b))) for j in range(width))
-        for arow in a
-    )
-
-
 def _mat_vec(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    if any(len(row) != len(v) for row in a):
-        raise ValueError("matrix/vector shape mismatch")
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
+
+
+def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    # a times each column of b, transposed back into rows
+    return tuple(zip(*(_mat_vec(a, column) for column in zip(*b))))
 
 
 @dataclass(frozen=True)
@@ -312,10 +305,6 @@ def tower_profile(diagram: BratteliDiagram, depth: int) -> TowerProfile:
     return TowerProfile(tuple(heights), gcds, tuple(b // a for a, b in zip(gcds, gcds[1:])))
 
 
-def _normalized_heights(profile: TowerProfile) -> list[tuple[int, ...]]:
-    return [tuple(x // h for x in v) for v, h in zip(profile.heights, profile.gcds)]
-
-
 def _find_tail_cycle(diagram: BratteliDiagram, profile: TowerProfile) -> Optional[tuple[int, int]]:
     """First revisit (s, t) of the normalized height vector inside the
     repeating-tail region, where the level dynamics are autonomous.
@@ -325,14 +314,12 @@ def _find_tail_cycle(diagram: BratteliDiagram, profile: TowerProfile) -> Optiona
     """
     if not diagram.is_infinite:
         return None
-    window_start = max(diagram.given_depth - 1, 0)
-    normalized = _normalized_heights(profile)
     seen: dict[tuple[int, ...], int] = {}
-    for level in range(window_start, profile.depth + 1):
-        c = normalized[level]
-        if c in seen:
-            return (seen[c], level)
-        seen[c] = level
+    for level in range(max(diagram.given_depth - 1, 0), profile.depth + 1):
+        g = profile.gcds[level]
+        first = seen.setdefault(tuple(x // g for x in profile.heights[level]), level)
+        if first != level:
+            return (first, level)
     return None
 
 
@@ -343,26 +330,23 @@ def maximal_uhf(diagram: BratteliDiagram, depth: int) -> MuResult:
     certified exact when the diagram is finite and fully consumed
     (the algebra is finite-dimensional with a full matrix summand of
     size gcds[depth]) or when the repeating tail exhibits a ratio
-    cycle, in which case every prime dividing the cycle product gets
-    exponent OMEGA.  Anything else is a truncation.
+    cycle, in which case every prime dividing a ratio of the cycle
+    gets exponent OMEGA.  Anything else is a truncation.  Each
+    distinct ratio is factorized once; the gcd, the product of all
+    the ratios, never is.
     """
     profile = tower_profile(diagram, depth)
-    truncation = SupernaturalNumber.from_int(profile.gcds[depth])
-    if not diagram.is_infinite:
-        if depth == diagram.given_depth:
-            return MuResult(truncation, CERTIFIED)
-        return MuResult(truncation, TRUNCATED)
+    factors = {r: factorize(r) for r in set(profile.ratios)}
+    exps: dict[int, Exponent] = {}
+    for r in profile.ratios:
+        for p, e in factors[r].items():
+            exps[p] = exps.get(p, 0) + e
     cycle = _find_tail_cycle(diagram, profile)
-    if cycle is None:
-        return MuResult(truncation, TRUNCATED)
-    s, t = cycle
-    cycle_product = 1
-    for n in range(s + 1, t + 1):
-        cycle_product *= profile.ratio(n)
-    exps: dict[int, Exponent] = {p: e for p, e in truncation.items()}
-    for p in factorize(cycle_product):
-        exps[p] = OMEGA
-    return MuResult(SupernaturalNumber(exps), CERTIFIED)
+    if cycle is not None:
+        for r in profile.ratios[cycle[0]:cycle[1]]:
+            exps.update(dict.fromkeys(factors[r], OMEGA))
+    exact = cycle is not None or (not diagram.is_infinite and depth == diagram.given_depth)
+    return MuResult(SupernaturalNumber(exps), CERTIFIED if exact else TRUNCATED)
 
 
 def odometer(diagram: BratteliDiagram, depth: int) -> BratteliDiagram:
@@ -390,30 +374,26 @@ def odometer(diagram: BratteliDiagram, depth: int) -> BratteliDiagram:
 def uhf_diagram(number: SupernaturalNumber, stages: int) -> BratteliDiagram:
     """The canonical single-vertex diagram of the UHF algebra M_N.
 
-    Stage j has size ell(j), so the matrices are the successive ratios
-    ell(j) / ell(j-1), computed once by _uhf_ratios.  The tail repeats
-    exactly when the ratio has stabilized: past all finite exponents and
-    all support primes the ratio is the product of the OMEGA primes forever.
+    Stage j has size ell(j), a product over the support, so the matrices
+    are the successive ratios ell(j) / ell(j-1).  The horizon is the
+    stage after every support prime has entered and every finite
+    exponent is full; from there on the ratio is the product of the
+    OMEGA primes forever.  The ratios are computed once, up to the stage
+    or the horizon, whichever is later, and the tail repeats exactly
+    when every ratio from the last stage on equals that product.
     """
     if stages < 1:
         raise ValueError("stages must be >= 1, got %r" % (stages,))
-    ratios = _uhf_ratios(number, stages)
+    index = {p: prime_index(p) for p in number.primes}
+    horizon = max([1] + [max(index[p], 0 if e is OMEGA else e) + 1 for p, e in number.items()])
+    ells = [math.prod(p ** (j if e is OMEGA else min(j, e)) for p, e in number.items() if index[p] <= j)
+            for j in range(max(stages, horizon) + 1)]
+    ratios = [b // a for a, b in zip(ells, ells[1:])]
     return BratteliDiagram(
         levels=(1,) * (stages + 1),
         matrices=tuple(((r,),) for r in ratios[:stages]),
         tail=REPEAT_LAST if set(ratios[stages - 1:]) == {ratios[-1]} else None,
     )
-
-
-def _uhf_ratios(number: SupernaturalNumber, stages: int = 1) -> list[int]:
-    # ell(j) / ell(j-1) up to the stage or the horizon, whichever is later;
-    # each ell(j) is a product over the support, and from the horizon on
-    # the ratio is the OMEGA product, so the last ratio is that product.
-    index = {p: prime_index(p) for p in number.primes}
-    horizon = max([1] + [max(index[p], 0 if e is OMEGA else e) + 1 for p, e in number.items()])
-    ells = [math.prod(p ** (j if e is OMEGA else min(j, e)) for p, e in number.items() if index[p] <= j)
-            for j in range(max(stages, horizon) + 1)]
-    return [b // a for a, b in zip(ells, ells[1:])]
 
 
 def canonical_premorphism(diagram: BratteliDiagram, depth: int) -> Premorphism:
@@ -425,8 +405,7 @@ def canonical_premorphism(diagram: BratteliDiagram, depth: int) -> Premorphism:
     at level n.
     """
     profile = tower_profile(diagram, depth)
-    normalized = _normalized_heights(profile)
-    matrices = tuple(tuple((c,) for c in column) for column in normalized)
+    matrices = tuple(tuple((x // g,) for x in v) for v, g in zip(profile.heights, profile.gcds))
     return Premorphism(tuple(range(depth + 1)), matrices)
 
 
@@ -439,10 +418,7 @@ def _interval_product(diagram: BratteliDiagram, a: int, b: int) -> Matrix:
 
 
 def verify_premorphism(
-    premorphism: Premorphism,
-    source: BratteliDiagram,
-    target: BratteliDiagram,
-    depth: Optional[int] = None,
+    premorphism: Premorphism, source: BratteliDiagram, target: BratteliDiagram
 ) -> PremorphismReport:
     """Check every commuting square the premorphism provides.
 
@@ -454,9 +430,7 @@ def verify_premorphism(
     """
     source.check()
     target.check()
-    if depth is None:
-        depth = premorphism.depth
-    depth = min(depth, premorphism.depth)
+    depth = premorphism.depth
     for n in range(depth + 1):
         m = premorphism.matrices[n]
         rows, cols = target.width_at(premorphism.level_map[n]), source.width_at(n)

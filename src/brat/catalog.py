@@ -24,12 +24,13 @@ the certified invariant is then exactly the factorization of n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Union
 
-from .bratteli import REPEAT_LAST, BratteliDiagram, _uhf_ratios
+from .bratteli import BratteliDiagram, uhf_diagram
 from .ordered_group import CyclicOrderedGroup, QuadraticElement, QuadraticIrrationalGroup
+from .primes import prime_index
 from .supernatural import OMEGA, SupernaturalNumber
 
 CatalogPayload = Union[BratteliDiagram, CyclicOrderedGroup, QuadraticIrrationalGroup]
@@ -149,11 +150,9 @@ def get_entry(name: str) -> CatalogEntry:
         if suffix.isdigit() and int(suffix) >= 1:
             n = int(suffix)
             number = SupernaturalNumber.from_int(n)
-            ratios = _uhf_ratios(number)
-            # the tail repeats from the stage after the last ratio off its limit
-            stage = 1 + max((j for j, r in enumerate(ratios, 1) if r != ratios[-1]), default=0)
-            diagram = BratteliDiagram((1,) * (stage + 1), tuple(((r,),) for r in ratios[:stage]),
-                                      REPEAT_LAST, name)
+            # past stage max(index(p), e) for every p**e, each ratio is 1
+            stage = 1 + max((max(prime_index(p), e) for p, e in number.items()), default=0)
+            diagram = replace(uhf_diagram(number, stage), name=name)
             return CatalogEntry(
                 name=name,
                 kind="diagram",
@@ -173,7 +172,3 @@ def diagram_entries() -> list[CatalogEntry]:
     entries = [_FIXED_ENTRIES[n] for n in names]
     entries.extend(get_entry("uhf-%d" % n) for n in (2, 6, 12, 30))
     return entries
-
-
-def group_entries() -> list[CatalogEntry]:
-    return [e for e in (_FIXED_ENTRIES[n] for n in catalog_names()) if e.kind == "group"]

@@ -216,19 +216,18 @@ def coprime_divisor_property(group: OrderedGroup) -> DivisorClosureReport:
 
     Whenever coprime n and m both divide the unit, n*m must too; this
     is exactly the condition for a maximum supernatural divisor to
-    exist.  Cyclic groups are searched exhaustively over integer
-    divisors of the unit, in increasing (n, m) order, and the first
-    failing pair is reported.  Quadratic groups are weakly
-    unperforated, where the property always holds, so no search runs.
+    exist.  Cyclic groups are searched exhaustively over the divisors
+    of the unit, enumerated from its factorization, in increasing
+    (n, m) order, and the first failing pair is reported.  Weakly
+    unperforated groups (the full cone, and every quadratic group)
+    always have the property, so no search runs.
     """
-    if isinstance(group, QuadraticIrrationalGroup):
+    if is_unperforated(group):
         return DivisorClosureReport(True)
-    if semigroup_member(group.generators, 1):
-        # full nonnegative cone: n | u is plain integer divisibility,
-        # which composes over coprime factors unconditionally
-        return DivisorClosureReport(True)
-    u = group.unit
-    divisors = [n for n in range(1, u + 1) if u % n == 0 and unit_divisor(group, n) is not None]
+    divisors = [1]
+    for p, e in factorize(group.unit).items():
+        divisors = [d * p ** k for d in divisors for k in range(e + 1)]
+    divisors = [n for n in sorted(divisors) if unit_divisor(group, n) is not None]
     for n, m in combinations(divisors, 2):
         if math.gcd(n, m) == 1 and unit_divisor(group, n * m) is None:
             return DivisorClosureReport(False, (n, m))

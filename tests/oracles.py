@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
-from brat.bratteli import REPEAT_LAST, BratteliDiagram, uhf_diagram
-from brat.ordered_group import CyclicOrderedGroup
+from brat.bratteli import CERTIFIED, REPEAT_LAST, TRUNCATED, BratteliDiagram, uhf_diagram
+from brat.ordered_group import CyclicOrderedGroup, DivisorClosureReport
+from brat.primes import factorize
+from brat.supernatural import OMEGA, SupernaturalNumber
 
 
 def materialized_edges(diagram: BratteliDiagram, level: int) -> list[tuple[int, int, int]]:
@@ -111,6 +114,20 @@ def brute_coprime_divisor_property(group: CyclicOrderedGroup):
     return None
 
 
+def reference_coprime_divisor_property(group: CyclicOrderedGroup) -> DivisorClosureReport:
+    """The integer scan: every n in 1..unit that divides the unit with a
+    witness in the cone, then the first coprime pair (n, m), n < m, of
+    them whose product does not."""
+    closure = semigroup_closure(group.generators, group.unit)
+    u = group.unit
+    divisors = [n for n in range(1, u + 1) if u % n == 0 and u // n in closure]
+    for n, m in combinations(divisors, 2):
+        # coprime divisors: n * m divides the unit, so only its witness can fail
+        if math.gcd(n, m) == 1 and u // (n * m) not in closure:
+            return DivisorClosureReport(False, (n, m))
+    return DivisorClosureReport(True)
+
+
 def brute_max_supernatural_exponents(group: CyclicOrderedGroup) -> dict[int, int]:
     """Per-prime sup of k with p**k dividing the unit, by direct scan."""
     closure = semigroup_closure(group.generators, group.unit)
@@ -124,6 +141,26 @@ def brute_max_supernatural_exponents(group: CyclicOrderedGroup) -> dict[int, int
         if k:
             exponents[p] = k
     return exponents
+
+
+def reference_mu(diagram: BratteliDiagram, depth: int) -> tuple[SupernaturalNumber, str]:
+    """(value, exactness) of the invariant by the direct route: factorize
+    the height gcd at `depth`, then give OMEGA to every prime of the
+    cycle product gcds[t] / gcds[s], where (s, t) is the first revisit of
+    the normalized heights in the tail window, every level normalized."""
+    heights = edge_walk_heights(diagram, depth)
+    gcds = [math.gcd(*v) for v in heights]
+    exponents = dict(factorize(gcds[depth]))
+    if not diagram.is_infinite:
+        return SupernaturalNumber(exponents), CERTIFIED if depth == diagram.given_depth else TRUNCATED
+    normalized = [tuple(x // g for x in v) for v, g in zip(heights, gcds)]
+    window = range(max(diagram.given_depth - 1, 0), depth + 1)
+    for t in window:
+        for s in range(window.start, t):
+            if normalized[s] == normalized[t]:
+                exponents.update(dict.fromkeys(factorize(gcds[t] // gcds[s]), OMEGA))
+                return SupernaturalNumber(exponents), CERTIFIED
+    return SupernaturalNumber(exponents), TRUNCATED
 
 
 def search_scaled_representation(unit: int, g: int, p: int, span: int = 4) -> bool:

@@ -5,12 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import brat.bratteli
+import brat.supernatural
 from brat.bratteli import (
     CERTIFIED,
     REPEAT_LAST,
     TRUNCATED,
     BratteliDiagram,
     DiagramError,
+    MuResult,
     Premorphism,
     canonical_premorphism,
     divide_element,
@@ -28,7 +31,7 @@ from brat.bratteli import (
 from brat.catalog import get_entry
 from brat.supernatural import OMEGA, SupernaturalNumber
 from gen import diagrams, random_diagram, supernaturals
-from oracles import edge_walk_heights, enumerated_path_heights, naive_ell, stabilization_stage
+from oracles import edge_walk_heights, enumerated_path_heights, naive_ell, reference_mu, stabilization_stage
 
 E55 = get_entry("example-5.5").payload
 FINDIM = get_entry("findim-4-6").payload
@@ -210,6 +213,31 @@ class TestMaximalUhf:
         later = maximal_uhf(diagram, depth + extra)
         assert later == result
 
+    @settings(max_examples=80)
+    @given(diagrams(max_width=3, max_depth=6, max_entry=6), st.integers(0, 20))
+    def test_matches_gcd_factorization_oracle(self, diagram, depth):
+        if not diagram.is_infinite:
+            depth = min(depth, diagram.given_depth)
+        result = maximal_uhf(diagram, depth)
+        assert (result.value, result.exactness) == reference_mu(diagram, depth)
+
+    def test_factorizes_nothing_wider_than_a_ratio(self, monkeypatch):
+        # the gcd at depth 40 is 2 * p**39, 779 bits; no ratio exceeds p
+        seen = []
+
+        def recording(real):
+            def factorize(n):
+                seen.append(n)
+                return real(n)
+            return factorize
+
+        for module in (brat.bratteli, brat.supernatural):
+            monkeypatch.setattr(module, "factorize", recording(module.factorize))
+        p = 1000003
+        diagram = BratteliDiagram((1, 2, 2), (((6,), (10,)), ((p, 0), (0, p))), REPEAT_LAST)
+        assert maximal_uhf(diagram, 40) == MuResult(SupernaturalNumber({2: 1, p: OMEGA}), CERTIFIED)
+        assert seen and max(n.bit_length() for n in seen) <= p.bit_length() == 20
+
 
 class TestOdometer:
     def test_example(self):
@@ -310,7 +338,7 @@ class TestUhfDiagram:
         assert diagram.is_infinite == all(r == limit for r in ratios[stages - 1:])
 
     def test_catalog_uhf_stage_count_matches_oracle(self):
-        for n in range(1, 301):
+        for n in [*range(1, 301), 1009, 2**20, 3**12 * 7919]:
             number = SupernaturalNumber.from_int(n)
             stage = stabilization_stage(number)
             payload = get_entry("uhf-%d" % n).payload

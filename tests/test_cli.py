@@ -527,6 +527,17 @@ def test_module_entry_point():
     assert proc.stdout == '{"mu": {"3": "inf"}, "exactness": "certified"}\n'
 
 
+def test_propd_enumerates_divisors_of_a_large_unit(tmp_path):
+    # 1000000000002 = 2 * 3 * 166666666667 has eight divisors; a scan of
+    # every integer up to the unit would not finish
+    path = tmp_path / "wide-unit.json"
+    path.write_text(json.dumps({"kind": "cyclic", "generators": [3, 5], "unit": 1000000000002}))
+    proc = subprocess.run([sys.executable, "-m", "brat", "group", "propd", str(path)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, '{"holds": false, "counterexample": [3, 166666666667]}\n', "")
+
+
 def capped_brat(*argv):
     """`python -m brat` in a child whose address space is capped at 512 MB."""
 

@@ -24,6 +24,7 @@ from oracles import (
     brute_max_supernatural_exponents,
     brute_unit_divisor,
     interval_sign,
+    reference_coprime_divisor_property,
     search_scaled_representation,
     semigroup_closure,
 )
@@ -125,6 +126,15 @@ class TestCoprimeDivisorProperty:
 
     def test_quadratic_always_holds(self):
         assert coprime_divisor_property(sqrt2_group()).holds
+
+    @settings(max_examples=80)
+    @given(st.sets(st.integers(1, 40), min_size=1, max_size=3), st.integers(1, 3000))
+    def test_matches_integer_scan(self, gens, unit):
+        gens = tuple(sorted(gens))
+        if not semigroup_member(gens, unit):
+            return
+        group = CyclicOrderedGroup(gens, unit)
+        assert coprime_divisor_property(group) == reference_coprime_divisor_property(group)
 
 
 class TestMaxSupernatural:
