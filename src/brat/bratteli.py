@@ -24,11 +24,11 @@ primes in the cycle acquire infinite exponent, and results are reported
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
+from ._record import Record
 from .primes import factorize, prime_index
 from .supernatural import OMEGA, Exponent, SupernaturalNumber
 
@@ -64,8 +64,7 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(zip(*(_mat_vec(a, column) for column in zip(*b))))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One broken structural rule, anchored to a level and position."""
 
     kind: str
@@ -74,8 +73,7 @@ class Violation:
     message: str
 
 
-@dataclass(frozen=True)
-class BratteliDiagram:
+class BratteliDiagram(Record):
     """Levels, multiplicity matrices, optional repeating tail."""
 
     levels: tuple[int, ...]
@@ -186,8 +184,7 @@ class BratteliDiagram:
         return cls(tuple(levels), tuple(matrices), tail, name)
 
 
-@dataclass(frozen=True)
-class TowerProfile:
+class TowerProfile(Record):
     """Heights, their gcds, and the multiplicity ratios, level by level.
 
     heights[n] is the path-count vector at level n; gcds[n] divides
@@ -215,8 +212,7 @@ class TowerProfile:
         return self.ratios[n - 1]
 
 
-@dataclass(frozen=True)
-class DimensionVector:
+class DimensionVector(Record):
     """An integer vector attached to a diagram level."""
 
     stage: int
@@ -226,16 +222,14 @@ class DimensionVector:
         object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
 
 
-@dataclass(frozen=True)
-class MuResult:
+class MuResult(Record):
     """A supernatural value plus how much of it is settled."""
 
     value: SupernaturalNumber
     exactness: str
 
 
-@dataclass(frozen=True)
-class Premorphism:
+class Premorphism(Record):
     """A level map plus connecting matrices from one diagram to another.
 
     level_map[n] is the target level assigned to source level n; it
@@ -278,8 +272,7 @@ class Premorphism:
             raise ValueError("premorphism needs level_map and matrices: %s" % exc) from None
 
 
-@dataclass(frozen=True)
-class PremorphismReport:
+class PremorphismReport(Record):
     """Outcome of checking the commuting squares of a premorphism."""
 
     ok: bool

@@ -24,10 +24,10 @@ the certified invariant is then exactly the factorization of n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Union
 
+from ._record import Record
 from .bratteli import BratteliDiagram, uhf_diagram
 from .ordered_group import CyclicOrderedGroup, QuadraticElement, QuadraticIrrationalGroup
 from .primes import prime_index
@@ -36,13 +36,16 @@ from .supernatural import OMEGA, SupernaturalNumber
 CatalogPayload = Union[BratteliDiagram, CyclicOrderedGroup, QuadraticIrrationalGroup]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     name: str
     kind: str  # "diagram" or "group"
     payload: CatalogPayload
     note: str
-    expected: dict = field(default_factory=dict)
+    expected: dict = None
+
+    def __post_init__(self):
+        if self.expected is None:
+            object.__setattr__(self, "expected", {})
 
 
 _EXAMPLE_55 = BratteliDiagram(
@@ -152,11 +155,11 @@ def get_entry(name: str) -> CatalogEntry:
             number = SupernaturalNumber.from_int(n)
             # past stage max(index(p), e) for every p**e, each ratio is 1
             stage = 1 + max((max(prime_index(p), e) for p, e in number.items()), default=0)
-            diagram = replace(uhf_diagram(number, stage), name=name)
+            diagram = uhf_diagram(number, stage)
             return CatalogEntry(
                 name=name,
                 kind="diagram",
-                payload=diagram,
+                payload=BratteliDiagram(diagram.levels, diagram.matrices, diagram.tail, name),
                 note="single-vertex diagram of the UHF algebra with "
                      "supernatural number %s" % number,
                 expected={

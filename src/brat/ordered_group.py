@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Union
 
+from ._record import Record
 from .primes import factorize, valuation
 from .supernatural import OMEGA, Exponent, SupernaturalNumber
 
@@ -61,10 +61,11 @@ def _residue_minima(gens: tuple[int, ...]) -> tuple[int, ...]:
 def semigroup_member(generators: tuple[int, ...], x: int) -> bool:
     """Whether x is a nonnegative integer combination of the generators.
 
-    Negative x is never a member.  After reducing by the gcd, membership
-    is read off the minimal semigroup member in each residue class
-    modulo the smallest generator, which makes the test exact at any
-    magnitude.
+    Negative x is never a member.  After reducing by the gcd, two coprime
+    generators a < b have Sylvester's closed form: x = i*a + j*b forces
+    j = x * b^-1 (mod a), so the least admissible j is x * b^-1 mod a and
+    x is a member exactly when b*j <= x for it.  More generators use the
+    least member of each residue class modulo the smallest one.
     """
     gens = sorted(set(generators))
     if not gens or any(g < 1 for g in gens):
@@ -80,12 +81,14 @@ def semigroup_member(generators: tuple[int, ...], x: int) -> bool:
     gens = [a // g for a in gens]
     if gens[0] == 1:
         return True
+    if len(gens) == 2:
+        a, b = gens
+        return x >= b * (x * pow(b, -1, a) % a)
     minima = _residue_minima(tuple(gens))
     return x >= minima[x % gens[0]]
 
 
-@dataclass(frozen=True)
-class CyclicOrderedGroup:
+class CyclicOrderedGroup(Record):
     """The integers with the cone generated by `generators`, unit inside."""
 
     generators: tuple[int, ...]
@@ -100,8 +103,7 @@ class CyclicOrderedGroup:
             raise ValueError("unit %r is not in the positive cone" % (self.unit,))
 
 
-@dataclass(frozen=True)
-class QuadraticElement:
+class QuadraticElement(Record):
     """The real number q + z*sqrt(d), with d carried by the group."""
 
     q: Fraction
@@ -148,8 +150,7 @@ def _is_squarefree(d: int) -> bool:
     return all(e == 1 for e in factorize(d).values())
 
 
-@dataclass(frozen=True)
-class QuadraticIrrationalGroup:
+class QuadraticIrrationalGroup(Record):
     """Q(h_number) + sqrt(alpha_square) * Z with the real-line order."""
 
     h_number: SupernaturalNumber
@@ -203,8 +204,7 @@ def unit_divisor(group: OrderedGroup, n: int) -> Optional[GroupElement]:
     return candidate
 
 
-@dataclass(frozen=True)
-class DivisorClosureReport:
+class DivisorClosureReport(Record):
     """Outcome of the coprime-composition check on unit divisors."""
 
     holds: bool

@@ -100,6 +100,9 @@ class SupernaturalNumber:
     def __setattr__(self, name, value):
         raise AttributeError("SupernaturalNumber is immutable")
 
+    def __reduce__(self):
+        return (SupernaturalNumber, (self._map,))
+
     @classmethod
     def from_int(cls, n: int) -> "SupernaturalNumber":
         """The supernatural number of a positive integer."""

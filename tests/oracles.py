@@ -87,6 +87,16 @@ def semigroup_closure(generators: tuple[int, ...], limit: int) -> set[int]:
     return members
 
 
+def reachable_table(a: int, b: int, limit: int) -> list[bool]:
+    """reach[x] for 0 <= x <= limit: is x a sum of copies of a and b?
+    Filled left to right from x - a and x - b, so it needs no gcd, no
+    inverse and no ordering of the two generators."""
+    reach = [True] + [False] * limit
+    for x in range(1, limit + 1):
+        reach[x] = (x >= a and reach[x - a]) or (x >= b and reach[x - b])
+    return reach
+
+
 def brute_unit_divisor(group: CyclicOrderedGroup, n: int, closure: set[int] | None = None):
     """Search every candidate witness 0..unit directly."""
     if closure is None:

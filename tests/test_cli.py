@@ -549,13 +549,22 @@ def capped_brat(*argv):
 
 
 def test_out_of_memory_is_a_limit_error_not_a_no(tmp_path):
-    # the residue table of the smallest generator would take about 16 GB
+    # three generators need the residue table of the smallest one, which
+    # would take about 16 GB
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"kind": "cyclic", "generators": [2000000000, 2000000001],
+    path.write_text(json.dumps({"kind": "cyclic", "generators": [2000000000, 2000000001, 2000000003],
                                 "unit": 4000000001}))
     proc = capped_brat("group", "divides", str(path), "--n", "1")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert json.loads(proc.stderr) == {"error": {"type": "limit", "message": "out of memory"}}
+
+
+def test_two_huge_generators_need_no_residue_table(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"kind": "cyclic", "generators": [2000000000, 2000000001],
+                                "unit": 4000000001}))
+    proc = capped_brat("group", "divides", str(path), "--n", "1")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{"witness": 4000000001}\n', "")
 
 
 def test_ell_never_sieves_up_to_a_support_prime():

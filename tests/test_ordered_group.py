@@ -2,12 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from brat.ordered_group import (
     CyclicOrderedGroup,
     QuadraticElement,
     QuadraticIrrationalGroup,
+    _residue_minima,
     coprime_divisor_property,
     is_unperforated,
     max_supernatural,
@@ -24,6 +25,7 @@ from oracles import (
     brute_max_supernatural_exponents,
     brute_unit_divisor,
     interval_sign,
+    reachable_table,
     reference_coprime_divisor_property,
     search_scaled_representation,
     semigroup_closure,
@@ -64,6 +66,46 @@ class TestSemigroup:
     def test_large_values_use_frobenius_shortcut(self):
         assert semigroup_member((6, 10, 15), 10**9 + 1)
         assert not semigroup_member((6, 10), 10**9 + 1)  # odd, gcd 2
+
+
+def table_member(gens, x):
+    """Membership read off the residue table, as for three or more generators."""
+    g = math.gcd(*gens)
+    if x < 0 or x % g:
+        return False
+    reduced = tuple(sorted({v // g for v in gens}))
+    return x // g >= _residue_minima(reduced)[x // g % reduced[0]]
+
+
+class TestTwoGenerators:
+    def test_matches_reachability_table_exhaustively(self):
+        # coprime pairs, pairs with a common factor and equal generators
+        for a in range(1, 41):
+            for b in range(a, 61):
+                limit = a * b + 2 * b
+                got = [semigroup_member((a, b), x) for x in range(-3, limit + 1)]
+                assert got == [False] * 3 + reachable_table(a, b, limit), (a, b)
+
+    @given(st.integers(1, 3000), st.integers(1, 10**12), st.integers(-10, 10**13))
+    def test_matches_residue_table_at_large_x(self, a, b, x):
+        assert semigroup_member((a, b), x) == table_member((a, b), x)
+
+    @given(st.integers(2, 2000), st.integers(2, 10**12), st.integers(1, 10**15))
+    def test_frobenius_number(self, a, b, above):
+        assume(math.gcd(a, b) == 1)
+        frobenius = a * b - a - b
+        assert not semigroup_member((a, b), frobenius)
+        # a members in a row cover every larger x, adding copies of a
+        assert all(semigroup_member((a, b), frobenius + k) for k in range(1, a + 1))
+        assert semigroup_member((b, a), frobenius + above)
+
+    def test_builds_no_residue_table(self):
+        before = _residue_minima.cache_info().misses
+        assert semigroup_member((10**7 + 1, 10**7 + 2), 10**15)
+        assert not semigroup_member((10**7 + 1, 10**7 + 2), (10**7 + 1) * (10**7 + 2) - 2 * 10**7 - 3)
+        assert CyclicOrderedGroup((2000000000, 2000000001), 4000000001).unit == 4000000001
+        assert unit_divisor(CyclicOrderedGroup((999983, 1000003), 999983 * 1000003), 999983) == 1000003
+        assert _residue_minima.cache_info().misses == before
 
 
 class TestCyclicDivisibility:
