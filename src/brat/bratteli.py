@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, islice
 from operator import mul
 from typing import Optional, Sequence
 
@@ -199,12 +200,6 @@ class TowerProfile(Record):
     def depth(self) -> int:
         return len(self.heights) - 1
 
-    def height(self, n: int) -> tuple[int, ...]:
-        return self.heights[n]
-
-    def gcd(self, n: int) -> int:
-        return self.gcds[n]
-
     def ratio(self, n: int) -> int:
         """r_n = gcds[n] / gcds[n-1]; n >= 1."""
         if n < 1:
@@ -289,13 +284,34 @@ def _validated_depth(diagram: BratteliDiagram, depth: int) -> int:
     return depth
 
 
+def _pushed(diagram: BratteliDiagram, v: tuple[int, ...], stage: int, depth: int):
+    # v at level `stage`, then M_{s} ... M_{stage+1} v for s = stage+1 .. depth
+    return accumulate(range(stage + 1, depth + 1),
+                      lambda u, s: _mat_vec(diagram.matrix_at(s), u), initial=v)
+
+
+def _levels(diagram: BratteliDiagram, entries: Sequence[int], stage: int, depth: int):
+    """`entries` at level `stage` pushed down to each level stage..depth,
+    one vector per level, lazily, so a search stops at its first hit.
+
+    The diagram, depth, stage and vector are validated once, in that
+    order, before this returns, so errors surface before any push."""
+    diagram.check()
+    _validated_depth(diagram, depth)
+    if stage < 0 or stage > depth:
+        raise DiagramError("stage %d outside 0..%d" % (stage, depth))
+    v = tuple(int(e) for e in entries)
+    if len(v) != diagram.width_at(stage):
+        raise DiagramError("vector length %d does not match the %d vertices at level %d"
+                           % (len(v), diagram.width_at(stage), stage))
+    return _pushed(diagram, v, stage, depth)
+
+
 def tower_profile(diagram: BratteliDiagram, depth: int) -> TowerProfile:
     """Heights, gcds, and ratios down to `depth`."""
-    heights: list[tuple[int, ...]] = []
-    # the predicate records every level and never holds, so the search visits them all
-    _first_stage(diagram, (1,), 0, depth, lambda s, v: heights.append(v))
+    heights = tuple(_levels(diagram, (1,), 0, depth))
     gcds = tuple(math.gcd(*v) for v in heights)
-    return TowerProfile(tuple(heights), gcds, tuple(b // a for a, b in zip(gcds, gcds[1:])))
+    return TowerProfile(heights, gcds, tuple(b // a for a, b in zip(gcds, gcds[1:])))
 
 
 def _find_tail_cycle(diagram: BratteliDiagram, profile: TowerProfile) -> Optional[tuple[int, int]]:
@@ -379,7 +395,7 @@ def uhf_diagram(number: SupernaturalNumber, stages: int) -> BratteliDiagram:
         raise ValueError("stages must be >= 1, got %r" % (stages,))
     index = {p: prime_index(p) for p in number.primes}
     horizon = max([1] + [max(index[p], 0 if e is OMEGA else e) + 1 for p, e in number.items()])
-    ells = [math.prod(p ** (j if e is OMEGA else min(j, e)) for p, e in number.items() if index[p] <= j)
+    ells = [math.prod(p ** min(j, e) for p, e in number.items() if index[p] <= j)
             for j in range(max(stages, horizon) + 1)]
     ratios = [b // a for a, b in zip(ells, ells[1:])]
     return BratteliDiagram(
@@ -445,10 +461,7 @@ def k0_unit_divisor(diagram: BratteliDiagram, n: int, depth: int) -> Optional[Di
     Returns the first stage s <= depth where n divides the height gcd,
     together with heights/n, or None when no stage works within depth.
     """
-    if n < 1:
-        raise ValueError("divisor must be a positive integer, got %r" % (n,))
-    hit = _first_stage(diagram, (1,), 0, depth, lambda s, v: all(x % n == 0 for x in v))
-    return None if hit is None else DimensionVector(hit[0], tuple(x // n for x in hit[1]))
+    return divide_element(diagram, (1,), 0, n, depth)
 
 
 def uhf_embeds(number: SupernaturalNumber, diagram: BratteliDiagram, depth: int) -> str:
@@ -464,26 +477,6 @@ def uhf_embeds(number: SupernaturalNumber, diagram: BratteliDiagram, depth: int)
     return "no-certified" if result.exactness == CERTIFIED else "no-within-depth"
 
 
-def _first_stage(diagram: BratteliDiagram, entries: Sequence[int], stage: int, depth: int, holds):
-    """(s, v) at the first level s in stage..depth where holds(s, v), v being
-    `entries` pushed from level `stage` to s, or None.  The diagram, depth,
-    stage and vector are validated once, in that order, before any push."""
-    diagram.check()
-    _validated_depth(diagram, depth)
-    if stage < 0 or stage > depth:
-        raise DiagramError("stage %d outside 0..%d" % (stage, depth))
-    v = tuple(int(e) for e in entries)
-    if len(v) != diagram.width_at(stage):
-        raise DiagramError("vector length %d does not match the %d vertices at level %d"
-                           % (len(v), diagram.width_at(stage), stage))
-    for s in range(stage, depth + 1):
-        if s > stage:
-            v = _mat_vec(diagram.matrix_at(s), v)
-        if holds(s, v):
-            return s, v
-    return None
-
-
 def rational_subgroup_witness(
     diagram: BratteliDiagram, entries: Sequence[int], stage: int, depth: int
 ) -> Optional[tuple[Fraction, int]]:
@@ -495,10 +488,12 @@ def rational_subgroup_witness(
     at the first hit, or None if no stage up to `depth` works; absence
     within depth is not a certificate.
     """
-    heights = tower_profile(diagram, depth).heights
-    hit = _first_stage(diagram, entries, stage, depth,
-                       lambda s, v: all(x * heights[s][0] == v[0] * h for x, h in zip(v, heights[s])))
-    return None if hit is None else (Fraction(hit[1][0], heights[hit[0]][0]), hit[0])
+    pushed = _levels(diagram, entries, stage, depth)
+    units = islice(_pushed(diagram, (1,), 0, depth), stage, None)
+    for s, (v, h) in enumerate(zip(pushed, units), stage):
+        if all(x * h[0] == v[0] * y for x, y in zip(v, h)):
+            return Fraction(v[0], h[0]), s
+    return None
 
 
 def scale_unit_stage(diagram: BratteliDiagram, x: Fraction, depth: int) -> DimensionVector:
@@ -530,15 +525,13 @@ def divide_element(
     """
     if m < 1:
         raise ValueError("divisor must be a positive integer, got %r" % (m,))
-
-    def divisible(s, v):
-        # the first call sees the validated input vector itself
-        if s == stage and any(e < 0 for e in v):
-            raise ValueError("entries must be nonnegative")
-        return all(e % m == 0 for e in v)
-
-    hit = _first_stage(diagram, entries, stage, depth, divisible)
-    return None if hit is None else DimensionVector(hit[0], tuple(e // m for e in hit[1]))
+    pushed = _levels(diagram, entries, stage, depth)
+    if any(e < 0 for e in entries):
+        raise ValueError("entries must be nonnegative")
+    for s, v in enumerate(pushed, stage):
+        if all(e % m == 0 for e in v):
+            return DimensionVector(s, tuple(e // m for e in v))
+    return None
 
 
 def telescope(diagram: BratteliDiagram, cut_points: Sequence[int]) -> BratteliDiagram:

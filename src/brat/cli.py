@@ -62,6 +62,17 @@ def _emit_error(message: str, kind: str = "input") -> int:
     return 2
 
 
+def _has_wider(data, bound: int) -> bool:
+    """Whether the JSON-ready `data` holds an integer x with |x| >= bound."""
+    if isinstance(data, int):
+        return abs(data) >= bound
+    if isinstance(data, dict):
+        data = data.values()
+    elif not isinstance(data, list):
+        return False
+    return any(_has_wider(item, bound) for item in data)
+
+
 def _catalog_entry(name: str):
     try:
         return get_entry(name)
@@ -393,8 +404,12 @@ def main(argv=None) -> int:
         subject = None if command.source is None else _load(args.source, command.source)
         depth = _depth_for(subject, args.depth) if command.depth else None
         status, payload = command.handler(args, subject, depth)
-        # Emission stays inside the try: json.dumps refuses integers past
-        # Python's digit limit with a ValueError, which must exit 2.
+        # refuse an answer json.dumps could not print before it spends
+        # time converting the smaller integers; 0 means no limit
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if digits and not isinstance(payload, str) and _has_wider(payload, 10**digits):
+            return _emit_error("the answer holds an integer of more than %d digits, Python's "
+                               "int-to-str limit (sys.get_int_max_str_digits)" % digits, "limit")
         sys.stdout.write(payload if isinstance(payload, str) else json.dumps(payload) + "\n")
         return status
     except ValueError as exc:

@@ -32,7 +32,7 @@ from typing import Optional, Union
 
 from ._record import Record
 from .primes import factorize, valuation
-from .supernatural import OMEGA, Exponent, SupernaturalNumber
+from .supernatural import Exponent, SupernaturalNumber
 
 QNRational = Fraction
 
@@ -263,23 +263,14 @@ def max_supernatural(group: OrderedGroup) -> Optional[SupernaturalNumber]:
                 exps[p] = k
         return SupernaturalNumber(exps)
     q, z = group.unit.q, group.unit.z
+    h = group.h_number
     if z == 0:
-        support = set(group.h_number.primes) | set(factorize(q.numerator).keys())
-        for p in support:
-            e = group.h_number.exponent(p)
-            if e is OMEGA:
-                exps[p] = OMEGA
-            else:
-                k = _rational_valuation(q, p) + e
-                if k > 0:
-                    exps[p] = k
+        support = set(h.primes) | set(factorize(q.numerator))
+        exps = {p: _rational_valuation(q, p) + h.exponent(p) for p in support}
     else:
-        for p, vz in factorize(abs(z)).items():
-            e = group.h_number.exponent(p)
-            k = vz if e is OMEGA else min(vz, _rational_valuation(q, p) + e)
-            if k > 0:
-                exps[p] = k
-    return SupernaturalNumber(exps)
+        exps = {p: min(vz, _rational_valuation(q, p) + h.exponent(p))
+                for p, vz in factorize(abs(z)).items()}
+    return SupernaturalNumber({p: k for p, k in exps.items() if k > 0})
 
 
 def rational_subgroup_member(
@@ -307,8 +298,6 @@ def rational_subgroup_member(
     if w * group.unit.q != h * group.unit.z:
         return None
     ratio = h / group.unit.q
-    if ratio.numerator * group.unit.z != w * ratio.denominator:
-        return None
     return (ratio.denominator, ratio.numerator)
 
 

@@ -7,8 +7,10 @@ when N divides M, which happens exactly when the rational group Q(N)
 (fractions whose denominator uses each prime p at most exponent(p)
 times) is contained in Q(M).
 
-The exponent arithmetic is table-driven around the OMEGA symbol:
-OMEGA absorbs addition and dominates every natural in the order.
+An exponent is a natural or OMEGA, and Python's own operators carry
+its order: OMEGA + e = e + OMEGA = OMEGA, and OMEGA lies above every
+natural (n < OMEGA, OMEGA <= OMEGA).  So +, <=, max, min and sorted
+act on exponents directly, and min(j, OMEGA) = j.
 """
 
 from __future__ import annotations
@@ -37,38 +39,29 @@ class _Omega:
     def __reduce__(self):
         return (_Omega, ())
 
-    def __copy__(self):
-        return self
+    # OMEGA absorbs addition and lies above every natural; an int on the
+    # left defers to the reflected method, so 3 + OMEGA and 3 < OMEGA work
+    def __add__(self, other):
+        return self if isinstance(other, (int, _Omega)) else NotImplemented
 
-    def __deepcopy__(self, memo):
-        return self
+    __radd__ = __add__
+
+    def __lt__(self, other):
+        return False if isinstance(other, (int, _Omega)) else NotImplemented
+
+    def __le__(self, other):
+        return other is self if isinstance(other, (int, _Omega)) else NotImplemented
+
+    def __gt__(self, other):
+        return other is not self if isinstance(other, (int, _Omega)) else NotImplemented
+
+    def __ge__(self, other):
+        return True if isinstance(other, (int, _Omega)) else NotImplemented
 
 
 OMEGA = _Omega()
 
 Exponent = Union[int, _Omega]
-
-
-def exp_add(a: Exponent, b: Exponent) -> Exponent:
-    if a is OMEGA or b is OMEGA:
-        return OMEGA
-    return a + b
-
-
-def exp_le(a: Exponent, b: Exponent) -> bool:
-    if b is OMEGA:
-        return True
-    if a is OMEGA:
-        return False
-    return a <= b
-
-
-def exp_max(a: Exponent, b: Exponent) -> Exponent:
-    return b if exp_le(a, b) else a
-
-
-def exp_min(a: Exponent, b: Exponent) -> Exponent:
-    return a if exp_le(a, b) else b
 
 
 def _check_exponent(p: int, e) -> Exponent:
@@ -92,7 +85,7 @@ class SupernaturalNumber:
             if isinstance(p, bool) or not isinstance(p, int) or not is_prime(p):
                 raise ValueError("supernatural keys must be primes, got %r" % (p,))
             e = _check_exponent(p, e)
-            if e is OMEGA or e > 0:
+            if e > 0:
                 items.append((p, e))
         object.__setattr__(self, "_items", tuple(items))
         object.__setattr__(self, "_map", dict(items))
@@ -138,12 +131,12 @@ class SupernaturalNumber:
             return NotImplemented
         exps = dict(self._map)
         for p, e in other._items:
-            exps[p] = exp_add(exps.get(p, 0), e)
+            exps[p] = exps.get(p, 0) + e
         return SupernaturalNumber(exps)
 
     def divides(self, other: "SupernaturalNumber") -> bool:
         """Pointwise exponent comparison; OMEGA dominates."""
-        return all(exp_le(e, other.exponent(p)) for p, e in self._items)
+        return all(e <= other.exponent(p) for p, e in self._items)
 
     def q_subset(self, other: "SupernaturalNumber") -> bool:
         """Whether Q(self) is contained in Q(other).
@@ -159,7 +152,7 @@ class SupernaturalNumber:
         exps: dict[int, Exponent] = {}
         for sn in values:
             for p, e in sn.items():
-                exps[p] = exp_max(exps.get(p, 0), e)
+                exps[p] = max(exps.get(p, 0), e)
         return SupernaturalNumber(exps)
 
     @staticmethod
@@ -168,16 +161,8 @@ class SupernaturalNumber:
         values = list(values)
         if not values:
             raise ValueError("inf of no supernatural numbers is undefined")
-        common = set(values[0].primes)
-        for sn in values[1:]:
-            common &= set(sn.primes)
-        exps: dict[int, Exponent] = {}
-        for p in common:
-            e: Exponent = values[0].exponent(p)
-            for sn in values[1:]:
-                e = exp_min(e, sn.exponent(p))
-            exps[p] = e
-        return SupernaturalNumber(exps)
+        # a prime missing from any operand has exponent 0 there and drops out
+        return SupernaturalNumber({p: min(sn.exponent(p) for sn in values) for p in values[0].primes})
 
     def ell(self, j: int) -> int:
         """The j-th canonical stage: prod over the first j primes p_i of
@@ -190,7 +175,7 @@ class SupernaturalNumber:
         if j < 1:
             raise ValueError("stage index must be >= 1, got %r" % (j,))
         last = first_primes(j)[-1]
-        return math.prod(p ** (j if e is OMEGA else min(j, e)) for p, e in self._items if p <= last)
+        return math.prod(p ** min(j, e) for p, e in self._items if p <= last)
 
     def contains(self, x: Fraction) -> bool:
         """Whether x lies in Q(self): every prime power of the
@@ -198,7 +183,7 @@ class SupernaturalNumber:
         den = Fraction(x).denominator
         if den == 1:
             return True
-        return all(exp_le(e, self.exponent(p)) for p, e in factorize(den).items())
+        return all(e <= self.exponent(p) for p, e in factorize(den).items())
 
     def to_data(self) -> dict[str, object]:
         """JSON-ready form: decimal prime keys in numeric order, values
@@ -244,6 +229,3 @@ class SupernaturalNumber:
             ("%d^w" % p) if e is OMEGA else ("%d^%d" % (p, e) if e > 1 else str(p))
             for p, e in self._items
         )
-
-
-ONE = SupernaturalNumber()

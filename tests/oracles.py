@@ -173,6 +173,26 @@ def reference_mu(diagram: BratteliDiagram, depth: int) -> tuple[SupernaturalNumb
     return SupernaturalNumber(exponents), TRUNCATED
 
 
+def reference_rsub(diagram: BratteliDiagram, entries, stage: int, depth: int):
+    """(lambda, s) at the first level s in stage..depth where the vector,
+    pushed one materialized edge at a time, is lambda times the heights
+    of `edge_walk_heights`, or None.  lambda is read off as the single
+    value of the entrywise ratios, so no cross-multiplication is shared
+    with the library."""
+    heights = edge_walk_heights(diagram, depth)
+    counts = tuple(entries)
+    for s in range(stage, depth + 1):
+        if s > stage:
+            pushed = [0] * diagram.width_at(s)
+            for _, src, dst in materialized_edges(diagram, s):
+                pushed[dst] += counts[src]
+            counts = tuple(pushed)
+        ratios = {Fraction(x, h) for x, h in zip(counts, heights[s])}
+        if len(ratios) == 1:
+            return ratios.pop(), s
+    return None
+
+
 def search_scaled_representation(unit: int, g: int, p: int, span: int = 4) -> bool:
     """Does some integer a satisfy (a/p) * unit = g?  Direct search over
     the only possible neighborhood |a| <= |g|*p/unit + span."""

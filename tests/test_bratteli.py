@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import brat.bratteli
 import brat.supernatural
@@ -31,7 +31,14 @@ from brat.bratteli import (
 from brat.catalog import get_entry
 from brat.supernatural import OMEGA, SupernaturalNumber
 from gen import diagrams, random_diagram, supernaturals
-from oracles import edge_walk_heights, enumerated_path_heights, naive_ell, reference_mu, stabilization_stage
+from oracles import (
+    edge_walk_heights,
+    enumerated_path_heights,
+    naive_ell,
+    reference_mu,
+    reference_rsub,
+    stabilization_stage,
+)
 
 E55 = get_entry("example-5.5").payload
 FINDIM = get_entry("findim-4-6").payload
@@ -503,6 +510,16 @@ class TestRationalSubgroupWitness:
         entries = tuple(1 for _ in range(diagram.width_at(0)))
         result = rational_subgroup_witness(diagram, entries, 0, depth)
         assert result == (Fraction(1), 0)
+
+    @given(diagrams(), st.integers(0, 3), st.lists(st.integers(-3, 6), min_size=3, max_size=3))
+    @example(E55, 1, [2, 1, 0])  # a miss: (2, 1) never becomes proportional
+    @example(E55, 0, [5, 0, 0])  # a hit at the root
+    def test_matches_independent_oracle(self, diagram, stage, raw):
+        depth = diagram.given_depth + (2 if diagram.is_infinite else 0)
+        stage = min(stage, depth)
+        entries = tuple(raw[:diagram.width_at(stage)])
+        assert rational_subgroup_witness(diagram, entries, stage, depth) == reference_rsub(
+            diagram, entries, stage, depth)
 
 
 class TestScaleUnitStage:

@@ -1,4 +1,5 @@
 import json
+import os
 import resource
 import shlex
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import brat.bratteli
 from brat.bratteli import BratteliDiagram
 from brat.cli import group_from_data, group_to_data, main
 from brat.dot import export_dot
@@ -570,3 +572,66 @@ def test_two_huge_generators_need_no_residue_table(tmp_path):
 def test_ell_never_sieves_up_to_a_support_prime():
     proc = capped_brat("sn", "ell", '{"1000000007": 1}', "5")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{"ell": 1}\n', "")
+
+
+def test_deep_rsub_stops_at_its_first_hit():
+    # the unit itself matches at stage 1; a profile down to the depth would not fit
+    proc = capped_brat("rsub", E55, "--stage", "1", "--vector", "1,1", "--depth", "1000000")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, '{"member": true, "stage": 1, "lambda": "1", "m": 1, "q": 1}\n', "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("rsub", E55, "--stage", "1", "--vector", "1,1"),
+    ("rsub", E55, "--stage", "1", "--vector", "2,1"),
+    ("k0-divides", E55, "--n", "9"),
+    ("divide", E55, "--stage", "1", "--vector", "3,6", "--m", "9"),
+], ids=lambda argv: argv[0] + ":" + argv[-1])
+def test_witness_searches_validate_once_and_build_no_profile(monkeypatch, capsys, argv):
+    calls = {"check": 0, "tower_profile": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(BratteliDiagram, "check", counted("check", BratteliDiagram.check))
+    monkeypatch.setattr(brat.bratteli, "tower_profile", counted("tower_profile", brat.bratteli.tower_profile))
+    status, _, err = run(capsys, *argv)
+    assert status in (0, 1) and err == ""
+    assert calls == {"check": 1, "tower_profile": 0}
+
+
+def power_tower(tmp_path, first, second):
+    """A one-vertex diagram whose level-2 height is 10**(first + second)."""
+    path = tmp_path / "powers.json"
+    path.write_text(json.dumps({"levels": [1, 1, 1], "matrices": [[[10**first]], [[10**second]]]}))
+    return str(path)
+
+
+def test_answer_at_the_digit_limit_prints(capsys, tmp_path):
+    # 10**4299 has 4300 digits, the most Python converts by default
+    status, out, err = run(capsys, "towers", power_tower(tmp_path, 2150, 2149), "--depth", "2")
+    assert (status, err) == (0, "")
+    assert out == json.dumps({"depth": 2, "heights": [[1], [10**2150], [10**4299]],
+                              "gcds": [1, 10**2150, 10**4299], "ratios": [10**2150, 10**2149]}) + "\n"
+
+
+def test_answer_past_the_digit_limit_is_refused_as_a_limit(capsys, tmp_path):
+    status, out, err = run(capsys, "towers", power_tower(tmp_path, 2150, 2150), "--depth", "2")
+    assert (status, out) == (2, "")
+    assert json.loads(err) == {"error": {"type": "limit", "message": (
+        "the answer holds an integer of more than 4300 digits, Python's int-to-str limit "
+        "(sys.get_int_max_str_digits)")}}
+
+
+def test_no_digit_limit_prints_past_4300_digits(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "brat", "towers", power_tower(tmp_path, 2150, 2150),
+                           "--depth", "2"], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONINTMAXSTRDIGITS="0"))
+    power = "1" + "0" * 2150
+    top = "1" + "0" * 4300
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ('{"depth": 2, "heights": [[1], [%s], [%s]], "gcds": [1, %s, %s], '
+                           '"ratios": [%s, %s]}\n' % (power, top, power, top, power, power))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brat.supernatural import OMEGA, SupernaturalNumber, exp_le
+from brat.supernatural import OMEGA, SupernaturalNumber
 from gen import SMALL_PRIMES, finite_supernaturals, supernaturals
 from oracles import naive_ell
 
@@ -197,7 +197,27 @@ class TestSerialization:
 
 
 def test_exp_le_table():
-    assert exp_le(3, OMEGA)
-    assert exp_le(OMEGA, OMEGA)
-    assert not exp_le(OMEGA, 10**9)
-    assert exp_le(2, 2)
+    # OMEGA's order and addition through Python's operators, both operand orders
+    assert 3 <= OMEGA
+    assert OMEGA <= OMEGA
+    assert not OMEGA <= 10**9
+    assert 2 <= 2
+    for n in (0, 1, 10**9):
+        assert n + OMEGA is OMEGA and OMEGA + n is OMEGA
+        assert n < OMEGA and not OMEGA < n
+        assert n <= OMEGA and not OMEGA <= n
+        assert OMEGA > n and not n > OMEGA
+        assert OMEGA >= n and not n >= OMEGA
+        assert max(n, OMEGA) is OMEGA and max(OMEGA, n) is OMEGA
+        assert min(n, OMEGA) == n and min(OMEGA, n) == n
+    assert OMEGA + OMEGA is OMEGA and sum([2, OMEGA, 3]) is OMEGA
+    assert OMEGA >= OMEGA and not OMEGA < OMEGA and not OMEGA > OMEGA
+    assert max(OMEGA, OMEGA) is OMEGA and min(OMEGA, OMEGA) is OMEGA
+    assert sorted([OMEGA, 7, 0, OMEGA, 2]) == [0, 2, 7, OMEGA, OMEGA]
+    for bad in (1.5, "1", None):
+        with pytest.raises(TypeError):
+            OMEGA + bad
+        with pytest.raises(TypeError):
+            OMEGA < bad
+        with pytest.raises(TypeError):
+            bad >= OMEGA
