@@ -14,11 +14,11 @@ odometer diagram with matrices [r_n] describes the maximal UHF
 subalgebra that admits a unital embedding, and the supernatural product
 of the r_n is its isomorphism class.
 
-Infinite tails are handled exactly.  Once the normalized height vector
-(heights divided by their gcd) revisits an earlier value while the
-repeating matrix applies, the ratio sequence is provably periodic, the
-primes in the cycle acquire infinite exponent, and results are reported
-"certified"; otherwise they carry the "truncated-at-depth" flag.
+Infinite tails are handled exactly.  When the heights at the last level
+are a rational multiple of the heights at an earlier level inside the
+tail (from L = given_depth - 1 on), the normalized heights cycle, the
+primes of one period acquire infinite exponent, and results are
+"certified"; otherwise they are "truncated-at-depth".
 """
 
 from __future__ import annotations
@@ -314,21 +314,23 @@ def tower_profile(diagram: BratteliDiagram, depth: int) -> TowerProfile:
     return TowerProfile(heights, gcds, tuple(b // a for a, b in zip(gcds, gcds[1:])))
 
 
-def _find_tail_cycle(diagram: BratteliDiagram, profile: TowerProfile) -> Optional[tuple[int, int]]:
-    """First revisit (s, t) of the normalized height vector inside the
-    repeating-tail region, where the level dynamics are autonomous.
+def _tail_period(diagram: BratteliDiagram, profile: TowerProfile) -> Optional[int]:
+    """Least period of the normalized heights n_depth, found by looking
+    back to L = given_depth - 1, or None when they have not recurred.
 
-    A revisit proves the ratio sequence repeats with period t - s from
-    level s + 1 onward.
+    From L on, levels share the tail's width and n_{k+1}, r_{k+1} are
+    functions of n_k, so n_j = n_depth (j >= L) is a revisit.  The first
+    revisit (s, t) puts n_depth on the cycle: the nearest match is at
+    depth - (t - s), and ratios[-period:] has the primes of ratios[s:t].
     """
     if not diagram.is_infinite:
         return None
-    seen: dict[tuple[int, ...], int] = {}
-    for level in range(max(diagram.given_depth - 1, 0), profile.depth + 1):
-        g = profile.gcds[level]
-        first = seen.setdefault(tuple(x // g for x in profile.heights[level]), level)
-        if first != level:
-            return (first, level)
+    depth = profile.depth
+    last = tuple(x // profile.gcds[depth] for x in profile.heights[depth])
+    for j in range(depth - 1, max(diagram.given_depth - 1, 0) - 1, -1):
+        g = profile.gcds[j]
+        if all(x // g == y for x, y in zip(profile.heights[j], last)):
+            return depth - j
     return None
 
 
@@ -338,11 +340,11 @@ def maximal_uhf(diagram: BratteliDiagram, depth: int) -> MuResult:
     The value is the product of the ratios r_1 ... r_depth.  It is
     certified exact when the diagram is finite and fully consumed
     (the algebra is finite-dimensional with a full matrix summand of
-    size gcds[depth]) or when the repeating tail exhibits a ratio
-    cycle, in which case every prime dividing a ratio of the cycle
-    gets exponent OMEGA.  Anything else is a truncation.  Each
-    distinct ratio is factorized once; the gcd, the product of all
-    the ratios, never is.
+    size gcds[depth]) or when the normalized heights at `depth` recur
+    inside the repeating tail, in which case every prime of the last
+    period of ratios gets exponent OMEGA.  Anything else is a
+    truncation.  Each distinct ratio is factorized once; the gcd, the
+    product of all the ratios, never is.
     """
     profile = tower_profile(diagram, depth)
     factors = {r: factorize(r) for r in set(profile.ratios)}
@@ -350,11 +352,11 @@ def maximal_uhf(diagram: BratteliDiagram, depth: int) -> MuResult:
     for r in profile.ratios:
         for p, e in factors[r].items():
             exps[p] = exps.get(p, 0) + e
-    cycle = _find_tail_cycle(diagram, profile)
-    if cycle is not None:
-        for r in profile.ratios[cycle[0]:cycle[1]]:
+    period = _tail_period(diagram, profile)
+    if period is not None:
+        for r in profile.ratios[-period:]:
             exps.update(dict.fromkeys(factors[r], OMEGA))
-    exact = cycle is not None or (not diagram.is_infinite and depth == diagram.given_depth)
+    exact = period is not None or (not diagram.is_infinite and depth == diagram.given_depth)
     return MuResult(SupernaturalNumber(exps), CERTIFIED if exact else TRUNCATED)
 
 
@@ -363,38 +365,34 @@ def odometer(diagram: BratteliDiagram, depth: int) -> BratteliDiagram:
 
     It describes the maximal UHF subalgebra's own tower.  The result
     keeps a repeating tail only when the ratio is provably constant
-    from the last emitted level onward, which a length-1 cycle of the
-    normalized height vector establishes.
+    from the last emitted level onward, which a period of 1 of the
+    normalized heights at `depth` establishes.
     """
     profile = tower_profile(diagram, depth)
-    tail = None
-    cycle = _find_tail_cycle(diagram, profile)
-    if cycle is not None and cycle[1] - cycle[0] == 1:
-        tail = REPEAT_LAST
-    if depth == 0:
-        tail = None
     return BratteliDiagram(
         levels=(1,) * (depth + 1),
         matrices=tuple(((r,),) for r in profile.ratios),
-        tail=tail,
+        tail=REPEAT_LAST if _tail_period(diagram, profile) == 1 else None,
     )
 
 
-def uhf_diagram(number: SupernaturalNumber, stages: int) -> BratteliDiagram:
+def uhf_diagram(number: SupernaturalNumber, stages: Optional[int] = None) -> BratteliDiagram:
     """The canonical single-vertex diagram of the UHF algebra M_N.
 
     Stage j has size ell(j), a product over the support, so the matrices
     are the successive ratios ell(j) / ell(j-1).  The horizon is the
     stage after every support prime has entered and every finite
     exponent is full; from there on the ratio is the product of the
-    OMEGA primes forever.  The ratios are computed once, up to the stage
-    or the horizon, whichever is later, and the tail repeats exactly
-    when every ratio from the last stage on equals that product.
+    OMEGA primes forever; `stages` defaults to it.  The ratios are
+    computed once, up to the stage or the horizon, whichever is later,
+    and the tail repeats exactly when every ratio from the last stage
+    on equals that product.
     """
-    if stages < 1:
+    if stages is not None and stages < 1:
         raise ValueError("stages must be >= 1, got %r" % (stages,))
     index = {p: prime_index(p) for p in number.primes}
     horizon = max([1] + [max(index[p], 0 if e is OMEGA else e) + 1 for p, e in number.items()])
+    stages = horizon if stages is None else stages
     ells = [math.prod(p ** min(j, e) for p, e in number.items() if index[p] <= j)
             for j in range(max(stages, horizon) + 1)]
     ratios = [b // a for a, b in zip(ells, ells[1:])]
@@ -418,12 +416,11 @@ def canonical_premorphism(diagram: BratteliDiagram, depth: int) -> Premorphism:
     return Premorphism(tuple(range(depth + 1)), matrices)
 
 
-def _interval_product(diagram: BratteliDiagram, a: int, b: int) -> Matrix:
-    # M_b * ... * M_{a+1}; callers pass a < b
-    product = diagram.matrix_at(a + 1)
-    for n in range(a + 2, b + 1):
-        product = _mat_mul(diagram.matrix_at(n), product)
-    return product
+def _carried(diagram: BratteliDiagram, a: int, b: int, m: Matrix) -> Matrix:
+    # M_b * ... * M_{a+1} * m, which is m itself when a == b
+    for n in range(a + 1, b + 1):
+        m = _mat_mul(diagram.matrix_at(n), m)
+    return m
 
 
 def verify_premorphism(
@@ -447,9 +444,8 @@ def verify_premorphism(
             return PremorphismReport(False, n, "shape")
     for n in range(depth):
         lhs = _mat_mul(premorphism.matrices[n + 1], source.matrix_at(n + 1))
-        rhs = premorphism.matrices[n]
-        for k in range(premorphism.level_map[n] + 1, premorphism.level_map[n + 1] + 1):
-            rhs = _mat_mul(target.matrix_at(k), rhs)
+        rhs = _carried(target, premorphism.level_map[n], premorphism.level_map[n + 1],
+                       premorphism.matrices[n])
         if lhs != rhs:
             return PremorphismReport(False, n, "commutativity")
     return PremorphismReport(True)
@@ -554,7 +550,8 @@ def telescope(diagram: BratteliDiagram, cut_points: Sequence[int]) -> BratteliDi
         raise DiagramError("cut %d exceeds the %d levels of a finite diagram"
                            % (cuts[-1], diagram.given_depth))
     bounds = (0,) + cuts
-    matrices = tuple(_interval_product(diagram, a, b) for a, b in zip(bounds, bounds[1:]))
+    matrices = tuple(_carried(diagram, a + 1, b, diagram.matrix_at(a + 1))
+                     for a, b in zip(bounds, bounds[1:]))
     levels = (1,) + tuple(diagram.width_at(c) for c in cuts)
     tail = None
     if diagram.is_infinite and bounds[-2] >= diagram.given_depth - 1:

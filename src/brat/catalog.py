@@ -30,7 +30,6 @@ from typing import Union
 from ._record import Record
 from .bratteli import BratteliDiagram, uhf_diagram
 from .ordered_group import CyclicOrderedGroup, QuadraticElement, QuadraticIrrationalGroup
-from .primes import prime_index
 from .supernatural import OMEGA, SupernaturalNumber
 
 CatalogPayload = Union[BratteliDiagram, CyclicOrderedGroup, QuadraticIrrationalGroup]
@@ -151,11 +150,8 @@ def get_entry(name: str) -> CatalogEntry:
     if name.startswith("uhf-"):
         suffix = name[len("uhf-"):]
         if suffix.isdigit() and int(suffix) >= 1:
-            n = int(suffix)
-            number = SupernaturalNumber.from_int(n)
-            # past stage max(index(p), e) for every p**e, each ratio is 1
-            stage = 1 + max((max(prime_index(p), e) for p, e in number.items()), default=0)
-            diagram = uhf_diagram(number, stage)
+            number = SupernaturalNumber.from_int(int(suffix))
+            diagram = uhf_diagram(number)
             return CatalogEntry(
                 name=name,
                 kind="diagram",

@@ -63,10 +63,12 @@ def _emit_error(message: str, kind: str = "input") -> int:
 
 
 def _has_wider(data, bound: int) -> bool:
-    """Whether the JSON-ready `data` holds an integer x with |x| >= bound."""
+    """Whether `data` holds an integer, or a Fraction's term, x with |x| >= bound."""
     if isinstance(data, int):
         return abs(data) >= bound
-    if isinstance(data, dict):
+    if isinstance(data, Fraction):
+        data = [data.numerator, data.denominator]
+    elif isinstance(data, dict):
         data = data.values()
     elif not isinstance(data, list):
         return False
@@ -242,7 +244,7 @@ def _rsub(args, diagram, depth):
     if found is None:
         return 1, {"member": False, "reason": "no witness up to depth", "depth": depth}
     value, stage = found
-    return 0, {"member": True, "stage": stage, "lambda": str(value),
+    return 0, {"member": True, "stage": stage, "lambda": value,
                "m": value.denominator, "q": value.numerator}
 
 
@@ -410,7 +412,7 @@ def main(argv=None) -> int:
         if digits and not isinstance(payload, str) and _has_wider(payload, 10**digits):
             return _emit_error("the answer holds an integer of more than %d digits, Python's "
                                "int-to-str limit (sys.get_int_max_str_digits)" % digits, "limit")
-        sys.stdout.write(payload if isinstance(payload, str) else json.dumps(payload) + "\n")
+        sys.stdout.write(payload if isinstance(payload, str) else json.dumps(payload, default=str) + "\n")
         return status
     except ValueError as exc:
         return _emit_error(str(exc))

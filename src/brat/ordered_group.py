@@ -34,8 +34,6 @@ from ._record import Record
 from .primes import factorize, valuation
 from .supernatural import Exponent, SupernaturalNumber
 
-QNRational = Fraction
-
 
 @lru_cache(maxsize=256)
 def _residue_minima(gens: tuple[int, ...]) -> tuple[int, ...]:
@@ -320,12 +318,12 @@ def scale_unit(group: CyclicOrderedGroup, x: Fraction) -> int:
     if not isinstance(group, CyclicOrderedGroup) or not is_unperforated(group):
         raise ValueError("unsupported: the unit-scaling map needs the full nonnegative cone")
     x = Fraction(x)
-    divisor = max_supernatural(group)
-    assert divisor is not None
-    if not divisor.contains(x):
-        raise ValueError("%s lies outside the rational group of the unit" % (x,))
+    # every divisor of the unit divides it in the full cone, so Q(max
+    # supernatural) holds x exactly when x * unit is an integer
     value = x * group.unit
-    return int(value)
+    if value.denominator != 1:
+        raise ValueError("%s lies outside the rational group of the unit" % (x,))
+    return value.numerator
 
 
 def representable_with_denominator(m: int, q: int, p: int) -> bool:

@@ -113,10 +113,6 @@ class SupernaturalNumber:
     def exponent(self, p: int) -> Exponent:
         return self._map.get(p, 0)
 
-    @property
-    def is_finite(self) -> bool:
-        return all(e is not OMEGA for _, e in self._items)
-
     def to_int(self) -> int:
         """The integer value; only finite supernatural numbers have one."""
         n = 1

@@ -173,6 +173,22 @@ def reference_mu(diagram: BratteliDiagram, depth: int) -> tuple[SupernaturalNumb
     return SupernaturalNumber(exponents), TRUNCATED
 
 
+def reference_odometer_tail(diagram: BratteliDiagram, depth: int):
+    """The odometer's tail by the direct route: REPEAT_LAST exactly when
+    the first revisit (s, t) of the normalized heights in the tail window
+    has t - s == 1, found by comparing every pair of levels, O(depth**2)."""
+    if not diagram.is_infinite:
+        return None
+    heights = edge_walk_heights(diagram, depth)
+    normalized = [tuple(x // math.gcd(*v) for x in v) for v in heights]
+    window = range(max(diagram.given_depth - 1, 0), depth + 1)
+    for t in window:
+        for s in range(window.start, t):
+            if normalized[s] == normalized[t]:
+                return REPEAT_LAST if t - s == 1 else None
+    return None
+
+
 def reference_rsub(diagram: BratteliDiagram, entries, stage: int, depth: int):
     """(lambda, s) at the first level s in stage..depth where the vector,
     pushed one materialized edge at a time, is lambda times the heights

@@ -36,6 +36,7 @@ from oracles import (
     enumerated_path_heights,
     naive_ell,
     reference_mu,
+    reference_odometer_tail,
     reference_rsub,
     stabilization_stage,
 )
@@ -287,6 +288,48 @@ class TestOdometer:
         if odo.is_infinite:
             # a constant-ratio tail carries the full invariant across
             assert through.value == original.value
+
+
+class TestTailPeriod:
+    # the tail starts at level L = 3 with h_3 = (3, 6, 9); the tail matrix
+    # sends (x, y, z) to (2z, 5x, y), so its cube is 10 times the identity
+    # and the normalized heights cycle with period 3
+    LATE = BratteliDiagram(
+        (1, 1, 2, 3, 3),
+        (((3,),), ((1,), (1,)), ((1, 0), (1, 1), (1, 2)), ((0, 0, 2), (5, 0, 0), (0, 1, 0))),
+        REPEAT_LAST,
+    )
+    RATIOS = (3, 1, 1, 1, 1, 10, 1, 1, 10, 1)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4, 5])
+    def test_truncated_until_the_first_revisit(self, depth):
+        expected = SupernaturalNumber({3: 1} if depth else {})
+        assert maximal_uhf(self.LATE, depth) == MuResult(expected, TRUNCATED)
+
+    @pytest.mark.parametrize("depth", [6, 7, 8, 9, 10, 11])
+    def test_certified_from_one_period_on(self, depth):
+        # each window of three ratios holds one 10, whatever the phase
+        expected = SupernaturalNumber({2: OMEGA, 3: 1, 5: OMEGA})
+        assert maximal_uhf(self.LATE, depth) == MuResult(expected, CERTIFIED)
+
+    @pytest.mark.parametrize("depth", [0, 2, 3, 5, 6, 9, 10])
+    def test_odometer_never_repeats_a_period_three_tail(self, depth):
+        assert odometer(self.LATE, depth) == BratteliDiagram(
+            (1,) * (depth + 1), tuple(((r,),) for r in self.RATIOS[:depth]))
+
+    def test_telescoping_by_the_period_gives_a_constant_tail(self):
+        cut = telescope(self.LATE, (3, 6))
+        assert cut.matrix_at(2) == ((10, 0, 0), (0, 10, 0), (0, 0, 10))
+        assert odometer(cut, 1).tail is None
+        assert odometer(cut, 2) == BratteliDiagram((1, 1, 1), (((3,),), ((10,),)), REPEAT_LAST)
+        assert maximal_uhf(cut, 2) == maximal_uhf(self.LATE, 6)
+
+    @settings(max_examples=80)
+    @given(diagrams(max_width=3, max_depth=4, max_entry=3), st.integers(0, 20))
+    def test_odometer_tail_matches_first_revisit_oracle(self, diagram, depth):
+        if not diagram.is_infinite:
+            depth = min(depth, diagram.given_depth)
+        assert odometer(diagram, depth).tail == reference_odometer_tail(diagram, depth)
 
 
 class TestUhfDiagram:

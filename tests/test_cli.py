@@ -245,6 +245,21 @@ class TestRsub:
         status, _, err = run(capsys, "rsub", E55, "--stage", "1", "--vector", "1,x")
         assert status == 2 and "bad integer vector" in json.loads(err)["error"]["message"]
 
+    def test_fractional_lambda(self, capsys):
+        status, out, _ = run(capsys, "rsub", E55, "--stage", "2", "--vector", "1,1")
+        assert (status, out) == (0, '{"member": true, "stage": 2, "lambda": "1/3", "m": 3, "q": 1}\n')
+
+    def test_lambda_past_the_digit_limit_is_refused_as_a_limit(self, capsys, tmp_path):
+        # lambda = 10**4000 / (10**4000 * p + p + 1): about 8000 digits below the bar
+        p = 10**4000 + 1
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"levels": [1, 2, 2],
+                                    "matrices": [[[p], [p + 1]], [[10**4000, 1], [10**4000, 1]]]}))
+        status, out, err = run(capsys, "rsub", str(path), "--stage", "1", "--vector", "1,0",
+                               "--depth", "2")
+        assert (status, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "limit"
+
 
 class TestTheta:
     def test_golden(self, capsys):

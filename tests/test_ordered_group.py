@@ -382,6 +382,17 @@ class TestScaleUnit:
         if x >= 0:
             assert scale_unit(group, x) >= 0
 
+    @given(st.sampled_from([(1,), (1, 4), (1, 2, 3)]), st.integers(1, 720),
+           st.integers(-50, 50), st.integers(1, 60))
+    def test_accepts_exactly_the_rational_group(self, generators, unit, num, den):
+        group = CyclicOrderedGroup(generators, unit)
+        x = Fraction(num, den)
+        if max_supernatural(group).contains(x):
+            assert scale_unit(group, x) == x * unit
+        else:
+            with pytest.raises(ValueError, match="outside the rational group"):
+                scale_unit(group, x)
+
     @given(st.integers(1, 500), st.integers(-300, 300), st.integers(1, 60))
     def test_claim_check_matches_direct_search(self, unit, g, p):
         group = CyclicOrderedGroup((1,), unit)
