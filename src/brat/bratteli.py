@@ -8,25 +8,31 @@ optional "repeat-last" tail extends a diagram with a square final
 matrix to infinite depth.
 
 The product M_n * ... * M_1 counts paths from the root, giving the
-height vector at level n.  Its gcd h_n divides h_{n+1}, and the ratio
-sequence r_n = h_n / h_{n-1} drives everything else: the single-vertex
-odometer diagram with matrices [r_n] describes the maximal UHF
-subalgebra that admits a unital embedding, and the supernatural product
-of the r_n is its isomorphism class.
+height vector h_n at level n.  Its gcd g_n divides g_{n+1}, and the
+ratio sequence r_n = g_n / g_{n-1} drives everything else: the
+single-vertex odometer diagram with matrices [r_n] describes the maximal
+UHF subalgebra that admits a unital embedding, and the supernatural
+product of the r_n is its isomorphism class.
 
-Infinite tails are handled exactly.  When the heights at the last level
-are a rational multiple of the heights at an earlier level inside the
-tail (from L = given_depth - 1 on), the normalized heights cycle, the
-primes of one period acquire infinite exponent, and results are
-"certified"; otherwise they are "truncated-at-depth".
+The walk carries level k as r_k = gcd(M_k n_{k-1}) and the primitive
+n_k = M_k n_{k-1} / r_k, so h_k = g_k n_k: no full height is pushed.
+Infinite tails are exact: "certified" means the first revisit n_t = n_s,
+L = given_depth - 1 <= s < t, was found during the walk.  From L on each
+step applies the tail matrix, so (n_{k+1}, r_{k+1}) is a function of n_k;
+thus r_{t+j} = r_{s+j} for all j >= 0, the primes of r_{s+1} ... r_t get
+exponent OMEGA, and no other prime occurs after t.  Without a revisit
+results are "truncated-at-depth".  Levels past t are replayed, not
+pushed: O(1) per level for the ratios, O(width) for the heights.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, islice
-from operator import mul
+from functools import lru_cache
+from itertools import accumulate, cycle, islice
+from operator import mul, neg
 from typing import Optional, Sequence
 
 from ._record import Record
@@ -285,14 +291,21 @@ def _validated_depth(diagram: BratteliDiagram, depth: int) -> int:
 
 
 def _pushed(diagram: BratteliDiagram, v: tuple[int, ...], stage: int, depth: int):
-    # v at level `stage`, then M_{s} ... M_{stage+1} v for s = stage+1 .. depth
-    return accumulate(range(stage + 1, depth + 1),
-                      lambda u, s: _mat_vec(diagram.matrix_at(s), u), initial=v)
+    # (r_s, n_s) for s = stage .. depth: n_s is primitive (or zero) and the
+    # vector M_s ... M_{stage+1} v is r_stage * ... * r_s * n_s
+    for s in range(stage, depth + 1):
+        if s > stage:
+            v = _mat_vec(diagram.matrix_at(s), v)
+        r = math.gcd(*v)
+        if r > 1:
+            v = tuple(x // r for x in v)
+        yield r, v
 
 
 def _levels(diagram: BratteliDiagram, entries: Sequence[int], stage: int, depth: int):
     """`entries` at level `stage` pushed down to each level stage..depth,
-    one vector per level, lazily, so a search stops at its first hit.
+    one (content multiplier, primitive vector) pair per level, lazily, so
+    a search stops at its first hit.
 
     The diagram, depth, stage and vector are validated once, in that
     order, before this returns, so errors surface before any push."""
@@ -307,31 +320,35 @@ def _levels(diagram: BratteliDiagram, entries: Sequence[int], stage: int, depth:
     return _pushed(diagram, v, stage, depth)
 
 
+def _walk(diagram: BratteliDiagram, depth: int):
+    # validated before the memo, whose keys 1, 1.0 and True are one
+    return _unit_walk(diagram.check(), _validated_depth(diagram, depth))
+
+
+@lru_cache(maxsize=1)
+def _unit_walk(diagram: BratteliDiagram, depth: int):
+    # (r_1..r_depth, n_0..n_depth, least period or None); past the first
+    # revisit n_t = n_s in the tail, levels repeat those of (s, t]
+    ratios, vectors, seen = [], [], {}
+    tail = max(diagram.given_depth - 1, 0) if diagram.is_infinite else depth + 1
+    for k, (r, n) in enumerate(_pushed(diagram, (1,), 0, depth)):
+        ratios.append(r)
+        vectors.append(n)
+        s = seen.setdefault(n, k) if k >= tail else k
+        if s < k:
+            ratios += islice(cycle(ratios[s + 1:]), depth - k)
+            vectors += islice(cycle(vectors[s + 1:]), depth - k)
+            return tuple(ratios[1:]), tuple(vectors), k - s
+    return tuple(ratios[1:]), tuple(vectors), None
+
+
 def tower_profile(diagram: BratteliDiagram, depth: int) -> TowerProfile:
     """Heights, gcds, and ratios down to `depth`."""
-    heights = tuple(_levels(diagram, (1,), 0, depth))
-    gcds = tuple(math.gcd(*v) for v in heights)
-    return TowerProfile(heights, gcds, tuple(b // a for a, b in zip(gcds, gcds[1:])))
-
-
-def _tail_period(diagram: BratteliDiagram, profile: TowerProfile) -> Optional[int]:
-    """Least period of the normalized heights n_depth, found by looking
-    back to L = given_depth - 1, or None when they have not recurred.
-
-    From L on, levels share the tail's width and n_{k+1}, r_{k+1} are
-    functions of n_k, so n_j = n_depth (j >= L) is a revisit.  The first
-    revisit (s, t) puts n_depth on the cycle: the nearest match is at
-    depth - (t - s), and ratios[-period:] has the primes of ratios[s:t].
-    """
-    if not diagram.is_infinite:
-        return None
-    depth = profile.depth
-    last = tuple(x // profile.gcds[depth] for x in profile.heights[depth])
-    for j in range(depth - 1, max(diagram.given_depth - 1, 0) - 1, -1):
-        g = profile.gcds[j]
-        if all(x // g == y for x, y in zip(profile.heights[j], last)):
-            return depth - j
-    return None
+    ratios, vectors, _ = _walk(diagram, depth)
+    gcds = tuple(accumulate(ratios, mul, initial=1))
+    # an entry 1 of the primitive vector reuses the gcd object itself
+    heights = tuple(tuple(g if x == 1 else g * x for x in n) for g, n in zip(gcds, vectors))
+    return TowerProfile(heights, gcds, ratios)
 
 
 def maximal_uhf(diagram: BratteliDiagram, depth: int) -> MuResult:
@@ -346,15 +363,15 @@ def maximal_uhf(diagram: BratteliDiagram, depth: int) -> MuResult:
     truncation.  Each distinct ratio is factorized once; the gcd, the
     product of all the ratios, never is.
     """
-    profile = tower_profile(diagram, depth)
-    factors = {r: factorize(r) for r in set(profile.ratios)}
+    ratios, _, period = _walk(diagram, depth)
+    counts = Counter(ratios)
+    factors = {r: factorize(r) for r in counts}
     exps: dict[int, Exponent] = {}
-    for r in profile.ratios:
+    for r, count in counts.items():
         for p, e in factors[r].items():
-            exps[p] = exps.get(p, 0) + e
-    period = _tail_period(diagram, profile)
+            exps[p] = exps.get(p, 0) + e * count
     if period is not None:
-        for r in profile.ratios[-period:]:
+        for r in ratios[-period:]:
             exps.update(dict.fromkeys(factors[r], OMEGA))
     exact = period is not None or (not diagram.is_infinite and depth == diagram.given_depth)
     return MuResult(SupernaturalNumber(exps), CERTIFIED if exact else TRUNCATED)
@@ -368,11 +385,11 @@ def odometer(diagram: BratteliDiagram, depth: int) -> BratteliDiagram:
     from the last emitted level onward, which a period of 1 of the
     normalized heights at `depth` establishes.
     """
-    profile = tower_profile(diagram, depth)
+    ratios, _, period = _walk(diagram, depth)
     return BratteliDiagram(
         levels=(1,) * (depth + 1),
-        matrices=tuple(((r,),) for r in profile.ratios),
-        tail=REPEAT_LAST if _tail_period(diagram, profile) == 1 else None,
+        matrices=tuple(((r,),) for r in ratios),
+        tail=REPEAT_LAST if period == 1 else None,
     )
 
 
@@ -411,8 +428,8 @@ def canonical_premorphism(diagram: BratteliDiagram, depth: int) -> Premorphism:
     the column at level n+1 by r_{n+1} equals M_{n+1} times the column
     at level n.
     """
-    profile = tower_profile(diagram, depth)
-    matrices = tuple(tuple((x // g,) for x in v) for v, g in zip(profile.heights, profile.gcds))
+    _, vectors, _ = _walk(diagram, depth)
+    matrices = tuple(tuple((x,) for x in n) for n in vectors)
     return Premorphism(tuple(range(depth + 1)), matrices)
 
 
@@ -485,10 +502,13 @@ def rational_subgroup_witness(
     within depth is not a certificate.
     """
     pushed = _levels(diagram, entries, stage, depth)
-    units = islice(_pushed(diagram, (1,), 0, depth), stage, None)
-    for s, (v, h) in enumerate(zip(pushed, units), stage):
-        if all(x * h[0] == v[0] * y for x, y in zip(v, h)):
-            return Fraction(v[0], h[0]), s
+    units = _pushed(diagram, (1,), 0, depth)
+    c, g = 1, math.prod(q for q, _ in islice(units, stage))
+    for s, ((r, v), (q, h)) in enumerate(zip(pushed, units), stage):
+        c, g = c * r, g * q
+        # h is positive and primitive, so a parallel v is 0, h or -h
+        if c == 0 or v == h or tuple(map(neg, v)) == h:
+            return Fraction(-c if v[0] < 0 else c, g), s
     return None
 
 
@@ -524,9 +544,12 @@ def divide_element(
     pushed = _levels(diagram, entries, stage, depth)
     if any(e < 0 for e in entries):
         raise ValueError("entries must be nonnegative")
-    for s, v in enumerate(pushed, stage):
-        if all(e % m == 0 for e in v):
-            return DimensionVector(s, tuple(e // m for e in v))
+    c = 1
+    for s, (r, v) in enumerate(pushed, stage):
+        # every entry of c * v divides by m exactly when the content c does
+        c *= r
+        if c % m == 0:
+            return DimensionVector(s, tuple(c // m * x for x in v))
     return None
 
 

@@ -209,6 +209,23 @@ def reference_rsub(diagram: BratteliDiagram, entries, stage: int, depth: int):
     return None
 
 
+def reference_divide(diagram: BratteliDiagram, entries, stage: int, m: int, depth: int):
+    """(s, v / m) at the first level s in stage..depth where every entry
+    of the vector, pushed one materialized edge at a time, divides by m,
+    or None.  The whole vector is tested, never its content."""
+    diagram.check()
+    counts = tuple(entries)
+    for s in range(stage, depth + 1):
+        if s > stage:
+            pushed = [0] * diagram.width_at(s)
+            for _, src, dst in materialized_edges(diagram, s):
+                pushed[dst] += counts[src]
+            counts = tuple(pushed)
+        if all(x % m == 0 for x in counts):
+            return s, tuple(x // m for x in counts)
+    return None
+
+
 def search_scaled_representation(unit: int, g: int, p: int, span: int = 4) -> bool:
     """Does some integer a satisfy (a/p) * unit = g?  Direct search over
     the only possible neighborhood |a| <= |g|*p/unit + span."""

@@ -35,6 +35,7 @@ from oracles import (
     edge_walk_heights,
     enumerated_path_heights,
     naive_ell,
+    reference_divide,
     reference_mu,
     reference_odometer_tail,
     reference_rsub,
@@ -330,6 +331,120 @@ class TestTailPeriod:
         if not diagram.is_infinite:
             depth = min(depth, diagram.given_depth)
         assert odometer(diagram, depth).tail == reference_odometer_tail(diagram, depth)
+
+
+@st.composite
+def revisiting_diagrams(draw):
+    """The period-3 tail, a random diagram continued by a P*I tail, or a
+    random diagram, whose tail rarely revisits."""
+    kind = draw(st.sampled_from(("period-3", "scalar", "random")))
+    if kind == "period-3":
+        return TestTailPeriod.LATE
+    base = draw(diagrams(max_width=3, max_depth=3, max_entry=3))
+    if kind == "random":
+        return base
+    p, w = draw(st.sampled_from((2, 3, 5, 7))), base.levels[-1]
+    scalar = tuple(tuple(p if i == j else 0 for j in range(w)) for i in range(w))
+    return BratteliDiagram(base.levels + (w,), base.matrices + (scalar,), REPEAT_LAST)
+
+
+def clamped(diagram, depth):
+    return depth if diagram.is_infinite else min(depth, diagram.given_depth)
+
+
+class TestWalkAgainstOracles:
+    """One walk per (diagram, depth), replayed past its first revisit,
+    against oracles that push whole vectors one edge at a time."""
+
+    @settings(max_examples=60)
+    @given(revisiting_diagrams(), st.integers(0, 24))
+    def test_profile_mu_odometer_and_premorphism(self, diagram, depth):
+        depth = clamped(diagram, depth)
+        heights = edge_walk_heights(diagram, depth)
+        profile = tower_profile(diagram, depth)
+        assert profile.heights == heights
+        assert profile.gcds == tuple(math.gcd(*v) for v in heights)
+        result = maximal_uhf(diagram, depth)
+        assert (result.value, result.exactness) == reference_mu(diagram, depth)
+        reduced = odometer(diagram, depth)
+        assert reduced.tail == reference_odometer_tail(diagram, depth)
+        premorphism = canonical_premorphism(diagram, depth)
+        for n, column in enumerate(premorphism.matrices):
+            # each column is the unit's heights divided by their gcd
+            assert reference_rsub(diagram, [x for (x,) in column], n, n) == (
+                Fraction(1, profile.gcds[n]), n)
+        assert verify_premorphism(premorphism, reduced, diagram).ok
+
+    @pytest.mark.parametrize("depth", [2, 3, 7, 40])
+    def test_scalar_tail_past_its_revisit(self, depth):
+        diagram = BratteliDiagram((1, 2, 2, 2), (((2,), (3,)), ((1, 1), (0, 1)), ((5, 0), (0, 5))),
+                                  REPEAT_LAST)
+        profile = tower_profile(diagram, depth)
+        assert profile.heights == edge_walk_heights(diagram, depth)
+        assert maximal_uhf(diagram, depth) == MuResult(*reference_mu(diagram, depth))
+        assert odometer(diagram, depth).tail == reference_odometer_tail(diagram, depth)
+
+    @settings(max_examples=60)
+    @given(revisiting_diagrams(), st.integers(0, 12), st.integers(0, 3), st.integers(1, 36),
+           st.sampled_from((0, 1, 2, 6)), st.integers(1, 99))
+    def test_divide_k0_and_theta_match_full_vector_oracle(self, diagram, depth, stage, m, scale, seed):
+        depth = clamped(diagram, depth)
+        stage = min(stage, depth)
+        rng = random.Random(seed)
+        # scale 0 gives the zero vector, 2 and 6 a content above 1 at the stage
+        entries = tuple(scale * rng.randint(0, 4) for _ in range(diagram.width_at(stage)))
+        # besides m, a gcd reached only after several ratios multiply up
+        d = rng.choice([m, math.gcd(*push(diagram, entries, stage, rng.randint(stage, depth))) or m])
+        got = divide_element(diagram, entries, stage, d, depth)
+        assert (got and (got.stage, got.entries)) == reference_divide(diagram, entries, stage, d, depth)
+        m = rng.choice([m, rng.randint(1, 3) * math.gcd(*push(diagram, (1,), 0, rng.randint(0, depth)))])
+        got = k0_unit_divisor(diagram, m, depth)
+        expected = reference_divide(diagram, (1,), 0, m, depth)
+        assert (got and (got.stage, got.entries)) == expected
+        x = Fraction(seed, m)
+        expected = reference_divide(diagram, (1,), 0, x.denominator, depth)
+        if expected is None:
+            with pytest.raises(ValueError):
+                scale_unit_stage(diagram, x, depth)
+        else:
+            got = scale_unit_stage(diagram, x, depth)
+            assert (got.stage, got.entries) == (expected[0], tuple(x.numerator * e for e in expected[1]))
+
+    @pytest.mark.parametrize("entries, stage, m", [
+        ((0, 0), 1, 7), ((6, 12), 1, 6), ((6, 12), 1, 9), ((2, 4), 2, 27), ((4, 6), 1, 4),
+    ])
+    def test_divide_zero_and_non_primitive_vectors(self, entries, stage, m):
+        got = divide_element(E55, entries, stage, m, 8)
+        assert (got and (got.stage, got.entries)) == reference_divide(E55, entries, stage, m, 8)
+
+    @settings(max_examples=60)
+    @given(revisiting_diagrams(), st.integers(0, 12), st.integers(0, 3), st.integers(1, 99))
+    def test_rsub_with_negative_entries_matches_oracle(self, diagram, depth, stage, seed):
+        depth = clamped(diagram, depth)
+        stage = min(stage, depth)
+        rng = random.Random(seed)
+        width = diagram.width_at(stage)
+        entries = rng.choice([
+            tuple(rng.randint(-4, 4) for _ in range(width)),
+            tuple(-rng.randint(1, 3) * x for x in edge_walk_heights(diagram, stage)[stage]),
+        ])
+        assert rational_subgroup_witness(diagram, entries, stage, depth) == reference_rsub(
+            diagram, entries, stage, depth)
+
+    def test_rsub_vector_that_pushes_to_zero(self):
+        merge = BratteliDiagram((1, 2, 1), (((1,), (1,)), ((1, 1),)))
+        assert rational_subgroup_witness(merge, (1, -1), 1, 2) == (Fraction(0), 2)
+        assert reference_rsub(merge, (1, -1), 1, 2) == (Fraction(0), 2)
+        assert rational_subgroup_witness(E55, (-2, -2), 1, 4) == (Fraction(-2), 1)
+
+    def test_memo_never_answers_an_invalid_depth(self):
+        # 1, 1.0 and True hash alike; validation runs before the memo
+        assert tower_profile(E55, 1).depth == 1
+        with pytest.raises(DiagramError):
+            tower_profile(E55, True)
+        assert maximal_uhf(E55, 1).exactness == TRUNCATED
+        with pytest.raises(DiagramError):
+            maximal_uhf(E55, 1.0)
 
 
 class TestUhfDiagram:

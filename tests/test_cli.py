@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import resource
@@ -616,6 +617,87 @@ def test_witness_searches_validate_once_and_build_no_profile(monkeypatch, capsys
     status, _, err = run(capsys, *argv)
     assert status in (0, 1) and err == ""
     assert calls == {"check": 1, "tower_profile": 0}
+
+
+def test_deep_constant_tail_answers_under_the_memory_cap():
+    # the walk stops at the first revisit of the normalized heights and
+    # replays the rest, so no height of 100000 levels is ever built
+    proc = capped_brat("mu", E55, "--depth", "100000")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, '{"mu": {"3": "inf"}, "exactness": "certified"}\n', "")
+    proc = capped_brat("embed", E55, "--depth", "100000", "--uhf", '{"3":5}')
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{"embeds": "yes", "depth": 100000}\n', "")
+
+
+def counted_walks(monkeypatch):
+    """Swap in an empty memo around a counted unit walk; returns the list
+    of walks made."""
+    walks = []
+    walk = brat.bratteli._unit_walk.__wrapped__
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(brat.bratteli, "_unit_walk", functools.lru_cache(maxsize=1)(counted))
+    return walks
+
+
+def test_premorphism_verify_walks_the_diagram_once(monkeypatch, capsys):
+    walks = counted_walks(monkeypatch)
+    assert run(capsys, "premorphism", E55, "--verify") == (0, '{"verified": true, "depth": 16}\n', "")
+    assert len(walks) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", E55), ("towers", E55), ("odometer", E55), ("odometer", E55, "--format", "dot"),
+    ("mu", E55), ("premorphism", E55), ("embed", E55, "--uhf", '{"2": 1}'),
+    ("k0-divides", E55, "--n", "9"), ("rsub", E55, "--stage", "1", "--vector", "2,1"),
+    ("theta", E55, "--x", "1/3"), ("theta", E55, "--x", "1/5"),
+    ("divide", E55, "--stage", "1", "--vector", "3,6", "--m", "9"), ("telescope", E55, "--cuts", "1,3"),
+], ids=" ".join)
+def test_every_other_diagram_command_walks_at_most_once(monkeypatch, capsys, argv):
+    walks = counted_walks(monkeypatch)
+    status, _, err = run(capsys, *argv)
+    # 1/5 is refused on the error path, which reads the invariant
+    assert (status in (0, 1) and err == "") or "outside the rational group" in err
+    assert len(walks) <= 1
+
+
+def circulant_tail(tmp_path):
+    """Width 8: level 1 is 2 * (1, ..., 1), and every row of the circulant
+    tail matrix sums to 11, so the normalized heights revisit at once."""
+    first = [3, 1, 0, 2, 1, 0, 1, 3]
+    tail = [[first[(j - i) % 8] for j in range(8)] for i in range(8)]
+    path = tmp_path / "circulant.json"
+    path.write_text(json.dumps({"levels": [1, 8, 8], "matrices": [[[2]] * 8, tail], "tail": "repeat-last"}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["mu", "odometer", "towers"])
+@pytest.mark.parametrize("source, pushes", [
+    # L = given_depth - 1 = 1 and the period is 1, so at most L + 1 + 1 pushes
+    (lambda tmp_path: E55, range(4)),
+    (circulant_tail, range(4)),
+    # Fibonacci heights never revisit: every one of the 10000 levels is pushed
+    (lambda tmp_path: str(tmp_path / "fibonacci.json"), [10000]),
+], ids=["example-5.5", "circulant-8", "fibonacci"])
+def test_walk_replays_the_tail_after_its_first_revisit(monkeypatch, capsys, tmp_path, command, source, pushes):
+    (tmp_path / "fibonacci.json").write_text(json.dumps(
+        {"levels": [1, 2, 2], "matrices": [[[1], [1]], [[1, 1], [1, 0]]], "tail": "repeat-last"}))
+    counted_walks(monkeypatch)
+    count = [0]
+    mat_vec = brat.bratteli._mat_vec
+
+    def counted(*args):
+        count[0] += 1
+        return mat_vec(*args)
+
+    monkeypatch.setattr(brat.bratteli, "_mat_vec", counted)
+    status, _, err = run(capsys, command, source(tmp_path), "--depth", "10000")
+    # towers with a gcd past 4300 digits is refused as a limit
+    assert status == 0 or json.loads(err)["error"]["type"] == "limit"
+    assert count[0] in pushes
 
 
 def power_tower(tmp_path, first, second):
