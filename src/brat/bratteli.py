@@ -16,13 +16,13 @@ product of the r_n is its isomorphism class.
 
 The walk carries level k as r_k = gcd(M_k n_{k-1}) and the primitive
 n_k = M_k n_{k-1} / r_k, so h_k = g_k n_k: no full height is pushed.
-Infinite tails are exact: "certified" means the first revisit n_t = n_s,
-L = given_depth - 1 <= s < t, was found during the walk.  From L on each
-step applies the tail matrix, so (n_{k+1}, r_{k+1}) is a function of n_k;
-thus r_{t+j} = r_{s+j} for all j >= 0, the primes of r_{s+1} ... r_t get
-exponent OMEGA, and no other prime occurs after t.  Without a revisit
-results are "truncated-at-depth".  Levels past t are replayed, not
-pushed: O(1) per level for the ratios, O(width) for the heights.
+Infinite tails are exact: "certified" means the walk met a first revisit
+n_t = n_s, L = given_depth - 1 <= s < t.  From L on each step applies
+the tail matrix, so (n_{k+1}, r_{k+1}) is a function of n_k; thus
+r_{t+j} = r_{s+j} for all j >= 1, the primes of r_{s+1} ... r_t get
+exponent OMEGA, and no other prime occurs after t; otherwise results are
+"truncated-at-depth".  Levels past t are replayed, not pushed: O(1) per
+level for the ratios, O(width) for the heights.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, cycle, islice
 from operator import mul, neg
 from typing import Optional, Sequence
@@ -195,16 +194,28 @@ class TowerProfile(Record):
     """Heights, their gcds, and the multiplicity ratios, level by level.
 
     heights[n] is the path-count vector at level n; gcds[n] divides
-    gcds[n+1]; ratios[n-1] = gcds[n] / gcds[n-1] for n >= 1.
+    gcds[n+1]; ratios[n-1] = gcds[n] / gcds[n-1] for n >= 1.  A profile
+    from `tower_profile` holds the ratios, the primitive heights[n] /
+    gcds[n] and the tail's period, and builds heights and gcds on first use.
     """
 
     heights: tuple[tuple[int, ...], ...]
     gcds: tuple[int, ...]
     ratios: tuple[int, ...]
 
+    def __getattr__(self, name):
+        # reached only for the heights and gcds of a walked profile, once
+        if name not in ("heights", "gcds"):
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+        gcds = tuple(accumulate(self.ratios, mul, initial=1))
+        # an entry 1 of the primitive vector reuses the gcd object itself
+        heights = tuple(tuple(g if x == 1 else g * x for x in n) for g, n in zip(gcds, self._vectors))
+        vars(self).update(gcds=gcds, heights=heights)
+        return vars(self)[name]
+
     @property
     def depth(self) -> int:
-        return len(self.heights) - 1
+        return len(self.ratios)
 
     def ratio(self, n: int) -> int:
         """r_n = gcds[n] / gcds[n-1]; n >= 1."""
@@ -294,11 +305,9 @@ def _pushed(diagram: BratteliDiagram, v: tuple[int, ...], stage: int, depth: int
     # (r_s, n_s) for s = stage .. depth: n_s is primitive (or zero) and the
     # vector M_s ... M_{stage+1} v is r_stage * ... * r_s * n_s
     for s in range(stage, depth + 1):
-        if s > stage:
-            v = _mat_vec(diagram.matrix_at(s), v)
+        v = _mat_vec(diagram.matrix_at(s), v) if s > stage else v
         r = math.gcd(*v)
-        if r > 1:
-            v = tuple(x // r for x in v)
+        v = tuple(x // r for x in v) if r > 1 else v
         yield r, v
 
 
@@ -320,35 +329,25 @@ def _levels(diagram: BratteliDiagram, entries: Sequence[int], stage: int, depth:
     return _pushed(diagram, v, stage, depth)
 
 
-def _walk(diagram: BratteliDiagram, depth: int):
-    # validated before the memo, whose keys 1, 1.0 and True are one
-    return _unit_walk(diagram.check(), _validated_depth(diagram, depth))
-
-
-@lru_cache(maxsize=1)
-def _unit_walk(diagram: BratteliDiagram, depth: int):
-    # (r_1..r_depth, n_0..n_depth, least period or None); past the first
-    # revisit n_t = n_s in the tail, levels repeat those of (s, t]
-    ratios, vectors, seen = [], [], {}
-    tail = max(diagram.given_depth - 1, 0) if diagram.is_infinite else depth + 1
-    for k, (r, n) in enumerate(_pushed(diagram, (1,), 0, depth)):
+def tower_profile(diagram: BratteliDiagram, depth: int) -> TowerProfile:
+    """Heights, gcds, and ratios down to `depth`, from one walk that stops
+    pushing at the first revisit n_t = n_s inside the tail and replays the
+    levels of (s, t]; the profile keeps the period t - s, or None."""
+    ratios, vectors, seen, period = [], [], {}, None
+    walk = _levels(diagram, (1,), 0, depth)
+    tail = diagram.given_depth - 1 if diagram.is_infinite else depth + 1
+    for k, (r, n) in enumerate(walk):
         ratios.append(r)
         vectors.append(n)
         s = seen.setdefault(n, k) if k >= tail else k
         if s < k:
             ratios += islice(cycle(ratios[s + 1:]), depth - k)
             vectors += islice(cycle(vectors[s + 1:]), depth - k)
-            return tuple(ratios[1:]), tuple(vectors), k - s
-    return tuple(ratios[1:]), tuple(vectors), None
-
-
-def tower_profile(diagram: BratteliDiagram, depth: int) -> TowerProfile:
-    """Heights, gcds, and ratios down to `depth`."""
-    ratios, vectors, _ = _walk(diagram, depth)
-    gcds = tuple(accumulate(ratios, mul, initial=1))
-    # an entry 1 of the primitive vector reuses the gcd object itself
-    heights = tuple(tuple(g if x == 1 else g * x for x in n) for g, n in zip(gcds, vectors))
-    return TowerProfile(heights, gcds, ratios)
+            period = k - s
+            break
+    profile = object.__new__(TowerProfile)
+    vars(profile).update(ratios=tuple(ratios[1:]), _vectors=tuple(vectors), _period=period)
+    return profile
 
 
 def maximal_uhf(diagram: BratteliDiagram, depth: int) -> MuResult:
@@ -363,17 +362,17 @@ def maximal_uhf(diagram: BratteliDiagram, depth: int) -> MuResult:
     truncation.  Each distinct ratio is factorized once; the gcd, the
     product of all the ratios, never is.
     """
-    ratios, _, period = _walk(diagram, depth)
-    counts = Counter(ratios)
+    profile = tower_profile(diagram, depth)
+    counts = Counter(profile.ratios)
     factors = {r: factorize(r) for r in counts}
     exps: dict[int, Exponent] = {}
     for r, count in counts.items():
         for p, e in factors[r].items():
             exps[p] = exps.get(p, 0) + e * count
-    if period is not None:
-        for r in ratios[-period:]:
+    if profile._period is not None:
+        for r in profile.ratios[-profile._period:]:
             exps.update(dict.fromkeys(factors[r], OMEGA))
-    exact = period is not None or (not diagram.is_infinite and depth == diagram.given_depth)
+    exact = profile._period is not None or (not diagram.is_infinite and depth == diagram.given_depth)
     return MuResult(SupernaturalNumber(exps), CERTIFIED if exact else TRUNCATED)
 
 
@@ -385,11 +384,11 @@ def odometer(diagram: BratteliDiagram, depth: int) -> BratteliDiagram:
     from the last emitted level onward, which a period of 1 of the
     normalized heights at `depth` establishes.
     """
-    ratios, _, period = _walk(diagram, depth)
+    profile = tower_profile(diagram, depth)
     return BratteliDiagram(
         levels=(1,) * (depth + 1),
-        matrices=tuple(((r,),) for r in ratios),
-        tail=REPEAT_LAST if period == 1 else None,
+        matrices=tuple(((r,),) for r in profile.ratios),
+        tail=REPEAT_LAST if profile._period == 1 else None,
     )
 
 
@@ -428,7 +427,7 @@ def canonical_premorphism(diagram: BratteliDiagram, depth: int) -> Premorphism:
     the column at level n+1 by r_{n+1} equals M_{n+1} times the column
     at level n.
     """
-    _, vectors, _ = _walk(diagram, depth)
+    vectors = tower_profile(diagram, depth)._vectors
     matrices = tuple(tuple((x,) for x in n) for n in vectors)
     return Premorphism(tuple(range(depth + 1)), matrices)
 

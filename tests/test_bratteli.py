@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from brat.bratteli import (
     DiagramError,
     MuResult,
     Premorphism,
+    TowerProfile,
     canonical_premorphism,
     divide_element,
     k0_unit_divisor,
@@ -142,6 +144,19 @@ class TestTowerProfile:
         assert profile.ratios == (1, 3, 3, 3)
         assert profile.ratio(1) == 1 and profile.ratio(4) == 3
         assert profile.depth == 4
+
+    def test_walked_profile_keeps_the_record_contract(self):
+        # heights and gcds are built on first use, and the profile then
+        # equals, hashes, prints and pickles like one built by hand
+        built = TowerProfile(((1,), (1, 1), (3, 3), (9, 9)), (1, 1, 3, 9), (1, 3, 3))
+        walked = tower_profile(E55, 3)
+        assert walked.depth == 3 and "heights" not in vars(walked)
+        assert walked == built and hash(walked) == hash(built) and repr(walked) == repr(built)
+        assert pickle.loads(pickle.dumps(tower_profile(E55, 3))) == built
+        with pytest.raises(AttributeError):
+            walked.bogus
+        with pytest.raises(AttributeError):
+            walked.heights = ()
 
     def test_findim(self):
         profile = tower_profile(FINDIM, 1)
@@ -437,8 +452,9 @@ class TestWalkAgainstOracles:
         assert reference_rsub(merge, (1, -1), 1, 2) == (Fraction(0), 2)
         assert rational_subgroup_witness(E55, (-2, -2), 1, 4) == (Fraction(-2), 1)
 
-    def test_memo_never_answers_an_invalid_depth(self):
-        # 1, 1.0 and True hash alike; validation runs before the memo
+    def test_bool_and_float_depths_are_refused_after_their_int_twin(self):
+        # 1, 1.0 and True hash alike, so a cache keyed by depth would
+        # answer them all; every call validates its own depth
         assert tower_profile(E55, 1).depth == 1
         with pytest.raises(DiagramError):
             tower_profile(E55, True)
