@@ -75,6 +75,11 @@ def _has_wider(data, bound: int) -> bool:
     return any(_has_wider(item, bound) for item in data)
 
 
+def _max_digits() -> int:
+    """Python's int-to-str digit limit; 0, or no such limit before 3.11, means none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _catalog_entry(name: str):
     try:
         return get_entry(name)
@@ -200,6 +205,13 @@ def _validate(args, diagram, depth):
 
 def _towers(args, diagram, depth):
     profile = tower_profile(diagram, depth)
+    # main refuses the first gcd past the digit limit: hand it that, build no larger one
+    gcd, digits = 1, _max_digits()
+    bound = 10**digits
+    for ratio in profile.ratios if digits else ():
+        gcd *= ratio
+        if gcd >= bound:
+            return 0, {"gcds": [gcd]}
     return 0, {
         "depth": depth,
         "heights": [list(v) for v in profile.heights],
@@ -376,10 +388,13 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(name: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser with only the `_COMMANDS` row called `name`, else every row: a
+    request runs one command, and building all 14 subparsers is most of the CLI's
+    own start-up, while `brat`, `-h` and an unknown command print the full usage."""
     parser = _Parser(prog="brat", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
-    for command in _COMMANDS:
+    for command in [row for row in _COMMANDS if row.name == name] or _COMMANDS:
         p = commands.add_parser(command.name, help=command.help)
         # positional extras precede the source; --depth precedes other options
         positionals = [arg for arg in command.arguments if not arg[0].startswith("-")]
@@ -399,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         command = args.row
@@ -408,7 +424,7 @@ def main(argv=None) -> int:
         status, payload = command.handler(args, subject, depth)
         # refuse an answer json.dumps could not print before it spends
         # time converting the smaller integers; 0 means no limit
-        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        digits = _max_digits()
         if digits and not isinstance(payload, str) and _has_wider(payload, 10**digits):
             return _emit_error("the answer holds an integer of more than %d digits, Python's "
                                "int-to-str limit (sys.get_int_max_str_digits)" % digits, "limit")

@@ -728,3 +728,55 @@ def test_no_digit_limit_prints_past_4300_digits(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == ('{"depth": 2, "heights": [[1], [%s], [%s]], "gcds": [1, %s, %s], '
                            '"ratios": [%s, %s]}\n' % (power, top, power, top, power, power))
+
+
+def test_deep_towers_are_refused_at_the_digit_limit_under_the_memory_cap():
+    # 3**9013 is the first gcd past 4300 digits; the larger ones are never built
+    proc = capped_brat("towers", E55, "--depth", "100000")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert json.loads(proc.stderr) == {"error": {"type": "limit", "message": (
+        "the answer holds an integer of more than 4300 digits, Python's int-to-str limit "
+        "(sys.get_int_max_str_digits)")}}
+
+
+def parsed(capsys, parse, argv):
+    """(exit status or SystemExit code, stdout, stderr) of `parse(argv)`."""
+    try:
+        status = parse(argv)
+    except SystemExit as exc:
+        status = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+@pytest.mark.parametrize("row", brat.cli._COMMANDS, ids=lambda row: row.name)
+def test_one_command_parser_renders_the_full_parsers_help(capsys, row):
+    full = parsed(capsys, brat.cli.build_parser().parse_args, [row.name, "-h"])
+    assert full[0] == ("exit", 0) and full[1].startswith("usage: brat %s " % row.name)
+    assert parsed(capsys, brat.cli.build_parser(row.name).parse_args, [row.name, "-h"]) == full
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["bogus"], ["--depth", "3", "mu", "x"], ["mu"],
+    ["mu", E55, "--bogus"], ["mu", E55, "--depth", "x"], ["mu", E55],
+    *([row.name, "-h"] for row in brat.cli._COMMANDS),
+], ids=" ".join)
+def test_main_answers_as_with_the_full_parser(monkeypatch, capsys, argv):
+    build = brat.cli.build_parser
+    usages = []
+
+    def recorded(name=None):
+        parser = build(name)
+        usages.append(" ".join(parser.format_usage().split()))
+        return parser
+
+    monkeypatch.setattr(brat.cli, "build_parser", recorded)
+    answer = parsed(capsys, main, argv)
+    # a request that names a command builds that command's subparser alone
+    names = [row.name for row in brat.cli._COMMANDS]
+    if argv and argv[0] in names:
+        assert usages == ["usage: brat [-h] {%s} ..." % argv[0]]
+    else:
+        assert usages == ["usage: brat [-h] {%s} ..." % ",".join(names)]
+    monkeypatch.setattr(brat.cli, "build_parser", lambda name=None: build())
+    assert parsed(capsys, main, argv) == answer
