@@ -1,7 +1,15 @@
 """The immutable value class behind brat's records: a subclass lists its
 fields as annotations, in order, and a class attribute of the same name
 is that field's default.  `__post_init__`, if defined, validates and
-normalizes fields with `object.__setattr__`."""
+normalizes fields with `object.__setattr__`, and `as_int` is the check
+its integer fields share."""
+
+
+def as_int(value, message: str) -> int:
+    """`value` if it is an int and not a bool; else ValueError("<message>, got <value>")."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s, got %r" % (message, value))
+    return value
 
 
 class Record:

@@ -30,11 +30,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, cycle, islice
 from operator import mul, neg
 from typing import Optional, Sequence
 
-from ._record import Record
+from ._record import Record, as_int
 from .primes import factorize, prime_index
 from .supernatural import OMEGA, Exponent, SupernaturalNumber
 
@@ -50,15 +51,10 @@ class DiagramError(ValueError):
 
 
 def _as_matrix(rows) -> Matrix:
-    out = []
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, bool) or not isinstance(cell, int):
-                raise ValueError("matrix entries must be integers, got %r" % (cell,))
-            cells.append(cell)
-        out.append(tuple(cells))
-    return tuple(out)
+    try:
+        return tuple(tuple(as_int(cell, "matrix entries must be integers") for cell in row) for row in rows)
+    except TypeError:
+        raise ValueError("each matrix must be a list of rows of integers") from None
 
 
 def _mat_vec(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
@@ -88,7 +84,7 @@ class BratteliDiagram(Record):
     name: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(int(k) for k in self.levels))
+        object.__setattr__(self, "levels", tuple(as_int(k, "levels must be integers") for k in self.levels))
         object.__setattr__(self, "matrices", tuple(_as_matrix(m) for m in self.matrices))
         if self.tail not in (None, REPEAT_LAST):
             raise ValueError("tail must be absent or %r, got %r" % (REPEAT_LAST, self.tail))
@@ -191,27 +187,26 @@ class BratteliDiagram(Record):
 
 
 class TowerProfile(Record):
-    """Heights, their gcds, and the multiplicity ratios, level by level.
+    """The walk's ratios, primitive heights and tail period, level by level.
 
-    heights[n] is the path-count vector at level n; gcds[n] divides
-    gcds[n+1]; ratios[n-1] = gcds[n] / gcds[n-1] for n >= 1.  A profile
-    from `tower_profile` holds the ratios, the primitive heights[n] /
-    gcds[n] and the tail's period, and builds heights and gcds on first use.
+    ratios[n-1] = r_n = gcds[n] / gcds[n-1] for n >= 1; vectors[n] is the
+    primitive height n_n = heights[n] / gcds[n]; period is t - s for the
+    first revisit n_t = n_s inside the tail, or None.  gcds and heights
+    are derived from these on first read.
     """
 
-    heights: tuple[tuple[int, ...], ...]
-    gcds: tuple[int, ...]
     ratios: tuple[int, ...]
+    vectors: tuple[tuple[int, ...], ...]
+    period: Optional[int] = None
 
-    def __getattr__(self, name):
-        # reached only for the heights and gcds of a walked profile, once
-        if name not in ("heights", "gcds"):
-            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
-        gcds = tuple(accumulate(self.ratios, mul, initial=1))
+    @cached_property
+    def gcds(self) -> tuple[int, ...]:
+        return tuple(accumulate(self.ratios, mul, initial=1))
+
+    @cached_property
+    def heights(self) -> tuple[tuple[int, ...], ...]:
         # an entry 1 of the primitive vector reuses the gcd object itself
-        heights = tuple(tuple(g if x == 1 else g * x for x in n) for g, n in zip(gcds, self._vectors))
-        vars(self).update(gcds=gcds, heights=heights)
-        return vars(self)[name]
+        return tuple(tuple(g if x == 1 else g * x for x in n) for g, n in zip(self.gcds, self.vectors))
 
     @property
     def depth(self) -> int:
@@ -330,9 +325,9 @@ def _levels(diagram: BratteliDiagram, entries: Sequence[int], stage: int, depth:
 
 
 def tower_profile(diagram: BratteliDiagram, depth: int) -> TowerProfile:
-    """Heights, gcds, and ratios down to `depth`, from one walk that stops
-    pushing at the first revisit n_t = n_s inside the tail and replays the
-    levels of (s, t]; the profile keeps the period t - s, or None."""
+    """Ratios and primitive heights down to `depth`, from one walk that
+    stops pushing at the first revisit n_t = n_s inside the tail and
+    replays the levels of (s, t]; the period is t - s, or None."""
     ratios, vectors, seen, period = [], [], {}, None
     walk = _levels(diagram, (1,), 0, depth)
     tail = diagram.given_depth - 1 if diagram.is_infinite else depth + 1
@@ -345,9 +340,7 @@ def tower_profile(diagram: BratteliDiagram, depth: int) -> TowerProfile:
             vectors += islice(cycle(vectors[s + 1:]), depth - k)
             period = k - s
             break
-    profile = object.__new__(TowerProfile)
-    vars(profile).update(ratios=tuple(ratios[1:]), _vectors=tuple(vectors), _period=period)
-    return profile
+    return TowerProfile(tuple(ratios[1:]), tuple(vectors), period)
 
 
 def maximal_uhf(diagram: BratteliDiagram, depth: int) -> MuResult:
@@ -369,10 +362,10 @@ def maximal_uhf(diagram: BratteliDiagram, depth: int) -> MuResult:
     for r, count in counts.items():
         for p, e in factors[r].items():
             exps[p] = exps.get(p, 0) + e * count
-    if profile._period is not None:
-        for r in profile.ratios[-profile._period:]:
+    if profile.period is not None:
+        for r in profile.ratios[-profile.period:]:
             exps.update(dict.fromkeys(factors[r], OMEGA))
-    exact = profile._period is not None or (not diagram.is_infinite and depth == diagram.given_depth)
+    exact = profile.period is not None or (not diagram.is_infinite and depth == diagram.given_depth)
     return MuResult(SupernaturalNumber(exps), CERTIFIED if exact else TRUNCATED)
 
 
@@ -388,7 +381,7 @@ def odometer(diagram: BratteliDiagram, depth: int) -> BratteliDiagram:
     return BratteliDiagram(
         levels=(1,) * (depth + 1),
         matrices=tuple(((r,),) for r in profile.ratios),
-        tail=REPEAT_LAST if profile._period == 1 else None,
+        tail=REPEAT_LAST if profile.period == 1 else None,
     )
 
 
@@ -427,7 +420,7 @@ def canonical_premorphism(diagram: BratteliDiagram, depth: int) -> Premorphism:
     the column at level n+1 by r_{n+1} equals M_{n+1} times the column
     at level n.
     """
-    vectors = tower_profile(diagram, depth)._vectors
+    vectors = tower_profile(diagram, depth).vectors
     matrices = tuple(tuple((x,) for x in n) for n in vectors)
     return Premorphism(tuple(range(depth + 1)), matrices)
 

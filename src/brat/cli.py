@@ -124,11 +124,11 @@ def group_from_data(data) -> object:
     kind = data.get("kind")
     try:
         if kind == "cyclic":
-            return CyclicOrderedGroup(tuple(data["generators"]), int(data["unit"]))
+            return CyclicOrderedGroup(tuple(data["generators"]), data["unit"])
         if kind == "quadratic":
             return QuadraticIrrationalGroup(
                 h_number=SupernaturalNumber.from_data(data["H"]),
-                alpha_square=int(data["alpha_square"]),
+                alpha_square=data["alpha_square"],
                 unit=QuadraticElement.from_data(data["unit"]),
             )
     except (KeyError, TypeError, ValueError) as exc:

@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Union
 
-from ._record import Record
+from ._record import Record, as_int
 from .primes import factorize, valuation
 from .supernatural import Exponent, SupernaturalNumber
 
@@ -93,11 +93,11 @@ class CyclicOrderedGroup(Record):
     unit: int
 
     def __post_init__(self):
-        gens = tuple(sorted(set(int(g) for g in self.generators)))
+        gens = tuple(sorted(set(as_int(g, "generators must be integers") for g in self.generators)))
         if not gens or gens[0] < 1:
             raise ValueError("generators must be positive integers, got %r" % (self.generators,))
         object.__setattr__(self, "generators", gens)
-        if self.unit < 1 or not semigroup_member(gens, self.unit):
+        if as_int(self.unit, "unit must be an integer") < 1 or not semigroup_member(gens, self.unit):
             raise ValueError("unit %r is not in the positive cone" % (self.unit,))
 
 
@@ -109,8 +109,7 @@ class QuadraticElement(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "q", Fraction(self.q))
-        if isinstance(self.z, bool) or not isinstance(self.z, int):
-            raise ValueError("integer coefficient expected, got %r" % (self.z,))
+        as_int(self.z, "integer coefficient expected")
 
     def to_data(self) -> dict[str, object]:
         return {"k": str(self.q), "z": self.z}
@@ -118,8 +117,8 @@ class QuadraticElement(Record):
     @classmethod
     def from_data(cls, data) -> "QuadraticElement":
         try:
-            return cls(Fraction(str(data["k"])), int(data["z"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(Fraction(str(data["k"])), data["z"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError("bad quadratic element %r: %s" % (data, exc)) from None
 
 
@@ -156,6 +155,7 @@ class QuadraticIrrationalGroup(Record):
     unit: QuadraticElement
 
     def __post_init__(self):
+        as_int(self.alpha_square, "alpha_square must be an integer")
         if self.alpha_square < 2 or not _is_squarefree(self.alpha_square):
             raise ValueError("alpha_square must be square-free and >= 2, got %r" % (self.alpha_square,))
         if self.unit.q == 0:

@@ -6,13 +6,12 @@ Miller-Rabin base set; above that bound we run 40 Miller-Rabin rounds
 with bases drawn from a generator seeded by the input, so repeated
 calls give identical answers.  Factorization does trial division by
 the small primes first and hands any remaining cofactor to Pollard's
-rho (Brent variant).  Enumeration is one lazy sieve, cached for the
-process and rerun at no less than twice its bound when asked past it.
+rho (Brent variant).  A prime's index is counted in a sieve local to
+the call, so nothing is kept between calls.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 
@@ -114,31 +113,15 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(factors.items()))
 
 
-_PRIMES: list[int] = []  # every prime up to _SIEVED; empty until first asked
-_SIEVED = 1
-
-
-def _sieve(limit: int) -> list[int]:
-    global _PRIMES, _SIEVED
-    if limit > _SIEVED:
-        limit = max(limit, 2 * _SIEVED, 64)
-        flags = bytearray([0, 0]) + bytearray([1]) * (limit - 1)
-        for p in range(2, math.isqrt(limit) + 1):
-            if flags[p]:
-                flags[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
-        _PRIMES, _SIEVED = list(itertools.compress(range(limit + 1), flags)), limit
-    return _PRIMES
-
-
-def first_primes(count: int) -> list[int]:
-    """The first `count` primes in increasing order."""
-    # the count-th prime lies below count * (log2(count) + 2)
-    return _sieve(count * (count.bit_length() + 2))[:max(count, 0)]
-
-
 def prime_index(p: int) -> int:
     """1-based position of the prime p in the increasing prime sequence."""
-    return _sieve(p).index(p) + 1
+    if not is_prime(p):
+        raise ValueError("%r is not a prime" % (p,))
+    flags = bytearray([0, 0]) + bytearray([1]) * (p - 1)
+    for q in range(2, math.isqrt(p) + 1):
+        if flags[q]:
+            flags[q * q::q] = bytes(len(range(q * q, p + 1, q)))
+    return flags.count(1)
 
 
 def valuation(n: int, p: int) -> int:

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .primes import factorize, first_primes, is_prime
+from .primes import factorize, is_prime, prime_index
 
 
 class _Omega:
@@ -165,13 +165,16 @@ class SupernaturalNumber:
         p_i ** min(j, exponent(p_i)), with min(j, OMEGA) = j.
 
         The stages form a divisibility chain ell(1) | ell(2) | ... whose
-        supernatural limit recovers self.  Only the first j primes are
-        enumerated, however large the primes of the support.
+        supernatural limit recovers self.  No primes are enumerated.  A
+        support prime p <= j is among the first j; one at or past
+        j * (j.bit_length() + 2) lies above the j-th prime; only a support
+        prime between the two has its index counted.
         """
         if j < 1:
             raise ValueError("stage index must be >= 1, got %r" % (j,))
-        last = first_primes(j)[-1]
-        return math.prod(p ** min(j, e) for p, e in self._items if p <= last)
+        bound = j * (j.bit_length() + 2)
+        return math.prod(p ** min(j, e) for p, e in self._items
+                         if p <= j or (p < bound and prime_index(p) <= j))
 
     def contains(self, x: Fraction) -> bool:
         """Whether x lies in Q(self): every prime power of the

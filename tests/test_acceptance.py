@@ -29,9 +29,9 @@ from brat.ordered_group import (
     semigroup_member,
     unit_divisor,
 )
-from brat.primes import factorize, first_primes
+from brat.primes import factorize
 from brat.supernatural import SupernaturalNumber
-from gen import random_diagram
+from gen import SMALL_PRIMES, random_diagram
 from oracles import (
     brute_max_supernatural_exponents,
     brute_unit_divisor,
@@ -118,10 +118,9 @@ def test_criterion_06_unit_divisibility_bridge():
 def test_criterion_07_divisibility_membership_coherence():
     with criterion(7, "divides = rational-group inclusion = stage-denominator membership, 500 pairs"):
         rng = random.Random(770)
-        primes = first_primes(8)
 
         def draw() -> SupernaturalNumber:
-            support = rng.sample(primes, rng.randint(0, 4))
+            support = rng.sample(SMALL_PRIMES, rng.randint(0, 4))
             return SupernaturalNumber({p: rng.randint(1, 8) for p in support})
 
         outcomes = set()

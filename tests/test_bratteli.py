@@ -146,15 +146,20 @@ class TestTowerProfile:
         assert profile.depth == 4
 
     def test_walked_profile_keeps_the_record_contract(self):
-        # heights and gcds are built on first use, and the profile then
-        # equals, hashes, prints and pickles like one built by hand
-        built = TowerProfile(((1,), (1, 1), (3, 3), (9, 9)), (1, 1, 3, 9), (1, 3, 3))
+        # the fields are the walk's ratios, primitive heights and period;
+        # heights and gcds are derived on first read and are no fields
+        built = TowerProfile((1, 3, 3), ((1,), (1, 1), (1, 1), (1, 1)), 1)
         walked = tower_profile(E55, 3)
+        assert TowerProfile._fields == ("ratios", "vectors", "period")
         assert walked.depth == 3 and "heights" not in vars(walked)
         assert walked == built and hash(walked) == hash(built) and repr(walked) == repr(built)
         assert pickle.loads(pickle.dumps(tower_profile(E55, 3))) == built
+        assert walked.heights == ((1,), (1, 1), (3, 3), (9, 9))
+        assert walked.gcds == (1, 1, 3, 9)
         with pytest.raises(AttributeError):
             walked.bogus
+        with pytest.raises(AttributeError):
+            walked.period = None
         with pytest.raises(AttributeError):
             walked.heights = ()
 

@@ -491,6 +491,31 @@ class TestLoading:
         status, _, err = run(capsys, "group", "propd", str(path))
         assert status == 2 and "cyclic" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("argv, data", [
+        (("validate",), {"levels": [1, 2], "matrices": [[1], [1]]}),
+        (("mu",), {"levels": [1, 2], "matrices": [[1], [1]]}),
+        (("towers",), {"levels": [1, 2], "matrices": [[1], [1]]}),
+        (("validate",), {"levels": [1, [2]], "matrices": [[[1], [1]]]}),
+        (("validate",), {"levels": [1, 2.9], "matrices": [[[1], [1]]]}),
+        (("validate",), {"levels": [True, "2"], "matrices": [[[1], [1]]]}),
+        (("group", "maxsn"), {"kind": "cyclic", "generators": [2.5, 3], "unit": 6}),
+        (("group", "maxsn"), {"kind": "cyclic", "generators": [2, 3], "unit": 6.9}),
+        (("group", "propd"), {"kind": "quadratic", "H": {"2": "inf"}, "alpha_square": 2,
+                              "unit": {"k": "1/0", "z": 0}}),
+        (("group", "propd"), {"kind": "quadratic", "H": {"2": "inf"}, "alpha_square": 2.7,
+                              "unit": {"k": "1", "z": 0}}),
+        (("group", "propd"), {"kind": "quadratic", "H": {"2": "inf"}, "alpha_square": 2,
+                              "unit": {"k": "1", "z": 0.5}}),
+    ], ids=["matrix-of-ints-validate", "matrix-of-ints-mu", "matrix-of-ints-towers", "list-level",
+            "float-level", "bool-and-string-levels", "float-generator", "float-unit", "zero-denominator",
+            "float-alpha-square", "float-z"])
+    def test_malformed_or_non_integer_json_is_an_input_error(self, capsys, tmp_path, argv, data):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        status, out, err = run(capsys, *argv, str(path))
+        assert (status, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "input"
+
 
 class TestSerializationRoundTrips:
     def test_cyclic_group(self):
@@ -588,6 +613,12 @@ def test_two_huge_generators_need_no_residue_table(tmp_path):
 def test_ell_never_sieves_up_to_a_support_prime():
     proc = capped_brat("sn", "ell", '{"1000000007": 1}', "5")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{"ell": 1}\n', "")
+
+
+def test_ell_never_sieves_up_to_its_stage():
+    # 2 <= j is among the first j primes, so no prime is counted at all
+    proc = capped_brat("sn", "ell", '{"2": 1}', "100000000")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{"ell": 2}\n', "")
 
 
 def test_deep_rsub_stops_at_its_first_hit():

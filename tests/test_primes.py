@@ -1,12 +1,9 @@
 import math
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from brat import primes
-from brat.primes import factorize, first_primes, is_prime, prime_index, valuation
+from brat.primes import factorize, is_prime, prime_index, valuation
 
 
 def trial_division_prime(n: int) -> bool:
@@ -55,37 +52,12 @@ def test_factorize_large_semiprime():
     assert factorize(p * q) == {p: 1, q: 1}
 
 
-def test_first_primes():
-    assert first_primes(1) == [2]
-    assert first_primes(10) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert first_primes(0) == first_primes(-3) == []
-
-
-def test_sieve_matches_trial_division_across_growths(monkeypatch):
-    expected = [n for n in range(20000) if trial_division_prime(n)]
-    monkeypatch.setattr(primes, "_PRIMES", [])
-    monkeypatch.setattr(primes, "_SIEVED", 1)
-    bounds = set()
-    for count in (1, 5, 18, 19, 100, 101, 1000, len(expected)):
-        assert first_primes(count) == expected[:count]
-        bounds.add(primes._SIEVED)
-    assert len(bounds) >= 4
-    monkeypatch.setattr(primes, "_PRIMES", [])
-    monkeypatch.setattr(primes, "_SIEVED", 1)
-    bounds.clear()
-    for index, p in enumerate(expected, start=1):
+def test_prime_index_matches_trial_division():
+    for index, p in enumerate((n for n in range(20000) if trial_division_prime(n)), start=1):
         assert prime_index(p) == index
-        bounds.add(primes._SIEVED)
-    assert len(bounds) >= 4
-    assert first_primes(len(expected)) == expected
-    with pytest.raises(ValueError):
-        prime_index(9)
-
-
-def test_import_leaves_the_sieve_empty():
-    code = "import brat.cli, brat.primes as p; print(len(p._PRIMES), p._SIEVED)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
-    assert proc.stdout.split() == ["0", "1"]
+    for n in (-3, 0, 1, 9, 19999):
+        with pytest.raises(ValueError):
+            prime_index(n)
 
 
 def test_valuation():

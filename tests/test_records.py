@@ -33,7 +33,7 @@ HALF = QuadraticElement(Fraction(1, 2), 0)
 RECORDS = [
     (Violation, dict(kind="shape", level=1, position=None, message="matrix 1 must be 2x1")),
     (BratteliDiagram, dict(levels=(1, 2), matrices=(((4,), (6,)),), tail=None, name="findim-4-6")),
-    (TowerProfile, dict(heights=((1,), (4, 6)), gcds=(1, 2), ratios=(2,))),
+    (TowerProfile, dict(ratios=(2,), vectors=((1,), (2, 3)), period=None)),
     (DimensionVector, dict(stage=1, entries=(2, 3))),
     (MuResult, dict(value=SupernaturalNumber({3: OMEGA}), exactness="certified")),
     (Premorphism, dict(level_map=(0, 1), matrices=(((1,),), ((2,), (3,))))),

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 from fractions import Fraction
 
@@ -8,6 +9,10 @@ from hypothesis import given, settings, strategies as st
 from brat.supernatural import OMEGA, SupernaturalNumber
 from gen import SMALL_PRIMES, finite_supernaturals, supernaturals
 from oracles import naive_ell
+
+# the 303 primes below 2000, by trial division: stage j <= 300 then meets
+# support primes below j, between j and j * (j.bit_length() + 2), and past it
+PRIMES_TO_2000 = tuple(n for n in range(2, 2000) if all(n % d for d in range(2, math.isqrt(n) + 1)))
 
 
 class TestConstruction:
@@ -113,7 +118,7 @@ class TestStages:
         with pytest.raises(ValueError):
             SupernaturalNumber({2: 1}).ell(0)
 
-    @given(supernaturals(max_exponent=5, max_size=3), st.integers(1, 9))
+    @given(supernaturals(max_exponent=5, primes=PRIMES_TO_2000, max_size=3), st.integers(1, 300))
     def test_ell_matches_direct_formula(self, n, j):
         raw = {p: (None if e is OMEGA else e) for p, e in n.items()}
         assert n.ell(j) == naive_ell(raw, j)
