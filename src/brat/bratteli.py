@@ -23,6 +23,27 @@ r_{t+j} = r_{s+j} for all j >= 1, the primes of r_{s+1} ... r_t get
 exponent OMEGA, and no other prime occurs after t; otherwise results are
 "truncated-at-depth".  Levels past t are replayed, not pushed: O(1) per
 level for the ratios, O(width) for the heights.
+
+Head levels are pushed row by row.  The tail matrix A (k x k) is pushed
+in a form the walk builds once, chosen from A by an operation count:
+- Shared subset sums (Arlazarov, Dinic, Kronrod and Faradzev, 1970).
+  When A's entries fit in a byte, split A into its P bit planes and v
+  into blocks of b <= 8 entries.  The 2**b subset sums of each block are
+  built once per push, and each row and plane looks its block's subset
+  up.  A push then costs ceil(k/b) * (2**b + k * P) additions instead of
+  k * k multiplications; the walk takes this form when it costs fewer
+  operations, counting one pass over A to build it.  `_mat_mul`, which
+  telescope's products and premorphism checks use, takes the same form
+  when it pushes enough columns through one matrix.
+- A content bounded by det(A) (Bareiss, Math. Comp. 22, 1968).  If A is
+  nonsingular and n is primitive, the content r of A n divides det(A):
+  r divides every entry of A n, so also of adj(A) A n = det(A) n, and
+  the entries of n have gcd 1.  So r = gcd(det A, A n), a gcd whose
+  first term stays at the size of det(A) while the heights grow.  The
+  walk computes det(A), exactly and fraction-free, at the first tail
+  push whose plain gcd, about H**2 bit operations for H-bit entries,
+  would cost more than the elimination.  A singular A, or a vector that
+  is zero, keeps the plain gcd.
 """
 
 from __future__ import annotations
@@ -30,9 +51,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate, cycle, islice
-from operator import mul, neg
+from functools import cached_property, partial, reduce
+from itertools import accumulate, chain, cycle, islice, repeat
+from operator import add, lshift, mul, neg, or_
 from typing import Optional, Sequence
 
 from ._record import Record, as_int
@@ -52,6 +73,14 @@ class DiagramError(ValueError):
 
 def _as_matrix(rows) -> Matrix:
     try:
+        rows = tuple(rows)
+        matrix = tuple(map(tuple, rows))
+        if set(map(type, chain.from_iterable(matrix))) <= {int}:
+            return matrix
+    except TypeError:
+        pass
+    # cell by cell, to raise the error of the first bad cell or row
+    try:
         return tuple(tuple(as_int(cell, "matrix entries must be integers") for cell in row) for row in rows)
     except TypeError:
         raise ValueError("each matrix must be a list of rows of integers") from None
@@ -61,9 +90,56 @@ def _mat_vec(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, v)) for row in a)
 
 
+def _subset_mat_vec(form, v: tuple[int, ...]) -> tuple[int, ...]:
+    # index[p][j] holds, in byte i, the subset of block j of v that bit
+    # plane p of row i picks; each block's 2**b subset sums are built once
+    b, index = form
+    lookups = []
+    for start in range(0, len(v), b):
+        table = [0]
+        for x in v[start:start + b]:
+            table += [y + x for y in table]
+        lookups.append(table.__getitem__)
+    total = ()
+    for blocks in reversed(index):  # Horner over the bit planes
+        sums = map(sum, zip(*map(map, lookups, blocks)))
+        total = map(add, map(lshift, total, repeat(1)), sums) if total else sums
+    return tuple(total)
+
+
+def _product(a: Matrix, pushes: int):
+    """v -> a v for `pushes` vectors v, by shared subset sums when that
+    takes fewer operations, else row by row.
+
+    With a's entries in 0..255, of at most P bits, blocks of b <= 8 of the
+    k columns, the subset sums cost one pass over a, then ceil(k/b) *
+    (2**b + rows * P) additions per vector; the plain product rows * k
+    multiplications per vector.  So they need more than one vector, and
+    2**b < (b - 1) * rows for some b, which takes rows > 4."""
+    rows, k = len(a), len(a[0]) if a else 0
+    if pushes < 2 or rows <= 4:
+        return partial(_mat_vec, a)
+    try:
+        # column j as an integer whose byte i is a[i][j]
+        columns = [int.from_bytes(bytes(column), "little") for column in zip(*a)]
+    except ValueError:  # an entry outside 0..255
+        return partial(_mat_vec, a)
+    planes = max(reduce(or_, columns, 0).to_bytes(rows, "little")).bit_length()
+    cost, b = min((-(-k // b) * (2**b + rows * planes), b) for b in range(1, 9))
+    if rows * k + pushes * cost >= pushes * rows * k:
+        return partial(_mat_vec, a)
+    # the bit-p slices of a block's columns, each shifted to its place in
+    # the block, sum to the subsets that plane p of each row picks, a byte
+    # per row
+    ones = int.from_bytes(b"\1" * rows, "little")
+    index = tuple(tuple(sum(((columns[j] >> p) & ones) << (j - start) for j in range(start, min(start + b, k)))
+                        .to_bytes(rows, "little") for start in range(0, k, b)) for p in range(planes))
+    return partial(_subset_mat_vec, (b, index))
+
+
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     # a times each column of b, transposed back into rows
-    return tuple(zip(*(_mat_vec(a, column) for column in zip(*b))))
+    return tuple(zip(*map(_product(a, len(b[0]) if b else 0), zip(*b))))
 
 
 class Violation(Record):
@@ -133,17 +209,13 @@ class BratteliDiagram(Record):
                 found.append(Violation("shape", n, None,
                                        "matrix %d must be %dx%d" % (n, rows, cols)))
                 continue
-            for i, row in enumerate(m):
-                if any(cell < 0 for cell in row):
-                    found.append(Violation("entry", n, i, "negative multiplicity in row %d" % i))
-            for i, row in enumerate(m):
-                if all(cell == 0 for cell in row):
-                    found.append(Violation("zero-row", n, i,
-                                           "vertex %d at level %d receives no edge" % (i, n)))
-            for j in range(cols):
-                if all(row[j] == 0 for row in m):
-                    found.append(Violation("zero-column", n, j,
-                                           "vertex %d at level %d emits no edge" % (j, n - 1)))
+            found += [Violation("entry", n, i, "negative multiplicity in row %d" % i)
+                      for i, row in enumerate(m) if row and min(row) < 0]
+            found += [Violation("zero-row", n, i, "vertex %d at level %d receives no edge" % (i, n))
+                      for i, row in enumerate(m) if not any(row)]
+            # with no rows, each of the cols columns is empty
+            found += [Violation("zero-column", n, j, "vertex %d at level %d emits no edge" % (j, n - 1))
+                      for j, column in enumerate(zip(*m) if m else [()] * cols) if not any(column)]
         if self.is_infinite:
             if not self.matrices:
                 found.append(Violation("tail", 0, None, "a repeating tail needs a last matrix"))
@@ -296,13 +368,53 @@ def _validated_depth(diagram: BratteliDiagram, depth: int) -> int:
     return depth
 
 
+def _det(a: Matrix) -> int:
+    """det(a) by Bareiss's fraction-free elimination: every division is exact."""
+    rows, sign, previous = [list(row) for row in a], 1, 1
+    while len(rows) > 1:
+        i = next((i for i, row in enumerate(rows) if row[0]), None)
+        if i is None:
+            return 0
+        if i:
+            rows[0], rows[i], sign = rows[i], rows[0], -sign
+        (pivot, *top), rest = rows[0], rows[1:]
+        rows = [[(pivot * x - row[0] * y) // previous for x, y in zip(row[1:], top)] for row in rest]
+        previous = pivot
+    return sign * rows[0][0]
+
+
+def _bareiss_cost(a: Matrix) -> int:
+    # bit operations, about: step j updates (k-j)**2 entries, minors of
+    # order j, so at most j times the bits of the largest row sum
+    k, bits = len(a), max(map(sum, a)).bit_length()
+    return sum(((k - j) * j * bits) ** 2 for j in range(1, k))
+
+
+def _split(v: tuple[int, ...], r: int):
+    return r, tuple(x // r for x in v) if r > 1 else v
+
+
 def _pushed(diagram: BratteliDiagram, v: tuple[int, ...], stage: int, depth: int):
     # (r_s, n_s) for s = stage .. depth: n_s is primitive (or zero) and the
     # vector M_s ... M_{stage+1} v is r_stage * ... * r_s * n_s
-    for s in range(stage, depth + 1):
-        v = _mat_vec(diagram.matrix_at(s), v) if s > stage else v
-        r = math.gcd(*v)
-        v = tuple(x // r for x in v) if r > 1 else v
+    tail = max(stage + 1, diagram.given_depth if diagram.is_infinite else depth + 1)
+    for s in range(stage, min(tail, depth + 1)):
+        if s > stage:
+            v = _mat_vec(diagram.matrix_at(s), v)
+        r, v = _split(v, math.gcd(*v))
+        yield r, v
+    if tail > depth:
+        return
+    # levels tail..depth all apply the tail matrix a, in the form _product
+    # picks; from the first push whose plain gcd would cost more than
+    # Bareiss's det(a), each content is gcd(det(a), a n)
+    a = diagram.matrices[-1]
+    push, cost, det = _product(a, depth + 1 - tail), _bareiss_cost(a), None
+    for _ in range(tail, depth + 1):
+        v = push(v)
+        if det is None and max(map(int.bit_length, v)) ** 2 >= cost:
+            det = _det(a) if any(v) else 0
+        r, v = _split(v, math.gcd(det, *v) if det else math.gcd(*v))
         yield r, v
 
 
@@ -495,12 +607,15 @@ def rational_subgroup_witness(
     """
     pushed = _levels(diagram, entries, stage, depth)
     units = _pushed(diagram, (1,), 0, depth)
-    c, g = 1, math.prod(q for q, _ in islice(units, stage))
+    # the contents are multiplied only at the hit
+    cs, gs = [], [q for q, _ in islice(units, stage)]
     for s, ((r, v), (q, h)) in enumerate(zip(pushed, units), stage):
-        c, g = c * r, g * q
+        cs.append(r)
+        gs.append(q)
         # h is positive and primitive, so a parallel v is 0, h or -h
-        if c == 0 or v == h or tuple(map(neg, v)) == h:
-            return Fraction(-c if v[0] < 0 else c, g), s
+        if r == 0 or v == h or tuple(map(neg, v)) == h:
+            c = math.prod(cs)
+            return Fraction(-c if v[0] < 0 else c, math.prod(gs)), s
     return None
 
 
@@ -536,12 +651,15 @@ def divide_element(
     pushed = _levels(diagram, entries, stage, depth)
     if any(e < 0 for e in entries):
         raise ValueError("entries must be nonnegative")
-    c = 1
+    # every entry of c * v divides by m exactly when the content c, the
+    # product of the ratios so far, does, that is when gcd(c, m) = m; that
+    # gcd is carried as gcd(gcd(c, m) * r, m) and c is multiplied at the hit
+    ratios, g = [], 1
     for s, (r, v) in enumerate(pushed, stage):
-        # every entry of c * v divides by m exactly when the content c does
-        c *= r
-        if c % m == 0:
-            return DimensionVector(s, tuple(c // m * x for x in v))
+        ratios.append(r)
+        g = math.gcd(g * r, m)
+        if g == m:
+            return DimensionVector(s, tuple(math.prod(ratios) // m * x for x in v))
     return None
 
 

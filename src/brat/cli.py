@@ -62,19 +62,6 @@ def _emit_error(message: str, kind: str = "input") -> int:
     return 2
 
 
-def _has_wider(data, bound: int) -> bool:
-    """Whether `data` holds an integer, or a Fraction's term, x with |x| >= bound."""
-    if isinstance(data, int):
-        return abs(data) >= bound
-    if isinstance(data, Fraction):
-        data = [data.numerator, data.denominator]
-    elif isinstance(data, dict):
-        data = data.values()
-    elif not isinstance(data, list):
-        return False
-    return any(_has_wider(item, bound) for item in data)
-
-
 def _max_digits() -> int:
     """Python's int-to-str digit limit; 0, or no such limit before 3.11, means none."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -422,13 +409,12 @@ def main(argv=None) -> int:
         subject = None if command.source is None else _load(args.source, command.source)
         depth = _depth_for(subject, args.depth) if command.depth else None
         status, payload = command.handler(args, subject, depth)
-        # refuse an answer json.dumps could not print before it spends
-        # time converting the smaller integers; 0 means no limit
-        digits = _max_digits()
-        if digits and not isinstance(payload, str) and _has_wider(payload, 10**digits):
+        try:
+            text = payload if isinstance(payload, str) else json.dumps(payload, default=str) + "\n"
+        except ValueError:  # an integer, or a Fraction's term, past the digit limit
             return _emit_error("the answer holds an integer of more than %d digits, Python's "
-                               "int-to-str limit (sys.get_int_max_str_digits)" % digits, "limit")
-        sys.stdout.write(payload if isinstance(payload, str) else json.dumps(payload, default=str) + "\n")
+                               "int-to-str limit (sys.get_int_max_str_digits)" % _max_digits(), "limit")
+        sys.stdout.write(text)
         return status
     except ValueError as exc:
         return _emit_error(str(exc))

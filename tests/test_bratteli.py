@@ -117,6 +117,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             BratteliDiagram((1, 1), (((1.5,),),))
 
+    def test_width_zero_level_is_a_zero_column(self):
+        # a 0 x 1 matrix has no rows, and its one column is empty
+        bad = BratteliDiagram((1, 0), ((),))
+        assert bad.violations() == [brat.bratteli.Violation(
+            "zero-column", 1, 0, "vertex 0 at level 0 emits no edge")]
+        below = BratteliDiagram((1, 0, 1), ((), ((),)))
+        assert [(v.kind, v.level) for v in below.violations()] == [("zero-column", 1), ("zero-row", 2)]
+
+    def test_first_bad_cell_or_row_decides_the_error(self):
+        with pytest.raises(ValueError, match="^matrix entries must be integers, got 'x'$"):
+            BratteliDiagram((1, 2), (([1, "x"], 5),))
+        with pytest.raises(ValueError, match="^each matrix must be a list of rows of integers$"):
+            BratteliDiagram((1, 2), ((5, [1, "x"]),))
+        with pytest.raises(ValueError, match="^matrix entries must be integers, got True$"):
+            BratteliDiagram((1, 1), (([True],),))
+
     @given(diagrams())
     def test_generated_diagrams_are_valid(self, diagram):
         assert diagram.violations() == []
@@ -866,3 +882,109 @@ def test_stage_search_error_order(call, error, message):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@st.composite
+def tail_diagrams(draw, widths):
+    """Levels 1, k, k, k: a head column, a head square and a k x k tail with
+    entries up to 64, filled from a drawn seed.  One tail in three is
+    singular: its last column copies the first."""
+    k = draw(st.integers(*widths))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    top, singular = rng.choice((1, 3, 7, 64)), rng.random() < 1 / 3
+
+    def square():
+        a = [[rng.randint(0, top) for _ in range(k)] for _ in range(k)]
+        for i in range(k):
+            a[i][i] = a[i][i] or top
+        return a
+
+    head, tail = square(), square()
+    if singular:
+        for row in tail:
+            row[-1] = row[0]
+        tail[-1][0] = tail[-1][-1] = top
+    column = [[rng.randint(1, top)] for _ in range(k)]
+    return BratteliDiagram((1, k, k, k), (column, head, tail), REPEAT_LAST)
+
+
+def plain_gcds(diagram, depth):
+    """gcd of the heights at each level, pushed one row sum at a time."""
+    v, gcds = (1,), [1]
+    for n in range(1, depth + 1):
+        v = tuple(sum(x * y for x, y in zip(row, v)) for row in diagram.matrix_at(n))
+        gcds.append(math.gcd(*v))
+    return tuple(gcds)
+
+
+class TestTailForms:
+    """Wide tails with small entries are pushed by shared subset sums, narrow
+    ones take each content as gcd(det A, A n): both against oracles that push
+    one materialized edge at a time, with singular tails, stages in the head
+    (1) and in the tail (3), and zero and negative vectors."""
+
+    @staticmethod
+    def check(diagram, depth, stage, seed):
+        stage = min(stage, depth)
+        rng = random.Random(seed)
+        heights = edge_walk_heights(diagram, depth)
+        assert tower_profile(diagram, depth).heights == heights
+        assert maximal_uhf(diagram, depth) == MuResult(*reference_mu(diagram, depth))
+        k = diagram.width_at(stage)
+        for entries in ((0,) * k, tuple(rng.randint(-3, 3) for _ in range(k)),
+                        tuple(-2 * x for x in heights[stage])):
+            assert rational_subgroup_witness(diagram, entries, stage, depth) == reference_rsub(
+                diagram, entries, stage, depth)
+        entries = tuple(rng.randint(0, 5) for _ in range(k))
+        for m in (rng.randint(1, 12), math.gcd(*heights[rng.randint(stage, depth)]) or 1):
+            got = divide_element(diagram, entries, stage, m, depth)
+            assert (got and (got.stage, got.entries)) == reference_divide(diagram, entries, stage, m, depth)
+        cuts = sorted(rng.sample(range(1, depth + 1), rng.randint(1, min(3, depth))))
+        scoped = tower_profile(telescope(diagram, cuts), len(cuts)).heights
+        assert scoped[1:] == tuple(heights[c] for c in cuts)
+
+    @settings(max_examples=20)
+    @given(tail_diagrams((2, 8)), st.integers(3, 40), st.sampled_from((1, 3)), st.integers(0, 99))
+    def test_narrow_tails_match_the_oracles(self, diagram, depth, stage, seed):
+        self.check(diagram, depth, stage, seed)
+
+    @settings(max_examples=8)
+    @given(tail_diagrams((48, 72)), st.integers(3, 5), st.sampled_from((1, 3)), st.integers(0, 99))
+    def test_wide_tails_match_the_oracles(self, diagram, depth, stage, seed):
+        self.check(diagram, depth, stage, seed)
+
+    @given(st.integers(1, 70), st.integers(1, 70), st.integers(1, 4), st.booleans(), st.integers(0, 99))
+    def test_mat_mul_matches_the_naive_product(self, rows, k, columns, negative, seed):
+        rng = random.Random(seed)
+        low = -3 if negative else 0
+        a = tuple(tuple(rng.randint(low, 3) for _ in range(k)) for _ in range(rows))
+        b = tuple(tuple(rng.randint(-9, 9) for _ in range(columns)) for _ in range(k))
+        naive = tuple(tuple(sum(a[i][j] * b[j][c] for j in range(k)) for c in range(columns))
+                      for i in range(rows))
+        assert brat.bratteli._mat_mul(a, b) == naive
+
+    @pytest.mark.parametrize("width, bits, depth, singular, forms", [
+        (100, 2, 30, False, {"_subset_mat_vec": 29, "_det": 0}),
+        (4, 1024, 60, False, {"_subset_mat_vec": 0, "_det": 1}),
+        (4, 1024, 60, True, {"_subset_mat_vec": 0, "_det": 1}),
+        (2, 3, 40, False, {"_subset_mat_vec": 0, "_det": 1}),
+    ])
+    def test_each_form_runs_where_its_count_picks_it(self, monkeypatch, width, bits, depth, singular, forms):
+        rng = random.Random(width)
+        tail = [[rng.randrange(2**bits) for _ in range(width)] for _ in range(width)]
+        for i in range(width):
+            tail[i][i] = tail[i][i] or 1
+        if singular:  # the last column copies the first
+            for row in tail:
+                row[-1] = row[0]
+            tail[-1][0] = tail[-1][-1] = 1
+        diagram = BratteliDiagram((1, width, width), ([[rng.randrange(1, 2**bits)]] * width, tail), REPEAT_LAST)
+        assert (brat.bratteli._det(diagram.matrices[-1]) == 0) == singular
+        calls = dict.fromkeys(forms, 0)
+        for name in forms:
+            def counted(*args, name=name, fn=getattr(brat.bratteli, name)):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(brat.bratteli, name, counted)
+        assert tower_profile(diagram, depth).gcds == plain_gcds(diagram, depth)
+        assert calls == forms

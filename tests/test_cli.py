@@ -660,6 +660,22 @@ def test_deep_constant_tail_answers_under_the_memory_cap():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{"embeds": "yes", "depth": 100000}\n', "")
 
 
+@pytest.mark.parametrize("argv", [
+    ("k0-divides", E55, "--n", "2"),
+    ("divide", E55, "--stage", "1", "--vector", "1,1", "--m", "2"),
+], ids=["k0-divides", "divide"])
+def test_deep_first_hit_miss_multiplies_no_content(argv):
+    # the content 3**s grows by a ratio per level: multiplied out at every
+    # level, a miss costs O(depth**2) bit operations, 10-20 s of CPU where
+    # the walk alone takes about 1 s (Python 3.11, a 2-CPU VM)
+    def cap():
+        resource.setrlimit(resource.RLIMIT_CPU, (8, 8))
+
+    proc = subprocess.run([sys.executable, "-m", "brat", *argv, "--depth", "300000"],
+                          capture_output=True, text=True, timeout=60, preexec_fn=cap)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, '{"witness": null, "depth": 300000}\n', "")
+
+
 def counted_walks(monkeypatch):
     """Count the walks down the diagram, one per `tower_profile` call,
     wherever the call is made from; returns the list of walks made."""
