@@ -284,12 +284,6 @@ class TowerProfile(Record):
     def depth(self) -> int:
         return len(self.ratios)
 
-    def ratio(self, n: int) -> int:
-        """r_n = gcds[n] / gcds[n-1]; n >= 1."""
-        if n < 1:
-            raise ValueError("ratios start at level 1")
-        return self.ratios[n - 1]
-
 
 class DimensionVector(Record):
     """An integer vector attached to a diagram level."""
@@ -497,30 +491,23 @@ def odometer(diagram: BratteliDiagram, depth: int) -> BratteliDiagram:
     )
 
 
-def uhf_diagram(number: SupernaturalNumber, stages: Optional[int] = None) -> BratteliDiagram:
+def uhf_diagram(number: SupernaturalNumber) -> BratteliDiagram:
     """The canonical single-vertex diagram of the UHF algebra M_N.
 
     Stage j has size ell(j), a product over the support, so the matrices
-    are the successive ratios ell(j) / ell(j-1).  The horizon is the
-    stage after every support prime has entered and every finite
-    exponent is full; from there on the ratio is the product of the
-    OMEGA primes forever; `stages` defaults to it.  The ratios are
-    computed once, up to the stage or the horizon, whichever is later,
-    and the tail repeats exactly when every ratio from the last stage
-    on equals that product.
+    are the successive ratios ell(j) / ell(j-1).  The diagram stops at the
+    horizon, the stage after every support prime has entered and every
+    finite exponent is full; from there on the ratio is the product of
+    the OMEGA primes forever, so the last matrix repeats.
     """
-    if stages is not None and stages < 1:
-        raise ValueError("stages must be >= 1, got %r" % (stages,))
     index = {p: prime_index(p) for p in number.primes}
     horizon = max([1] + [max(index[p], 0 if e is OMEGA else e) + 1 for p, e in number.items()])
-    stages = horizon if stages is None else stages
     ells = [math.prod(p ** min(j, e) for p, e in number.items() if index[p] <= j)
-            for j in range(max(stages, horizon) + 1)]
-    ratios = [b // a for a, b in zip(ells, ells[1:])]
+            for j in range(horizon + 1)]
     return BratteliDiagram(
-        levels=(1,) * (stages + 1),
-        matrices=tuple(((r,),) for r in ratios[:stages]),
-        tail=REPEAT_LAST if set(ratios[stages - 1:]) == {ratios[-1]} else None,
+        levels=(1,) * (horizon + 1),
+        matrices=tuple(((b // a,),) for a, b in zip(ells, ells[1:])),
+        tail=REPEAT_LAST,
     )
 
 

@@ -16,10 +16,11 @@ Fixed entries:
 * quadratic-sqrt2    Q({2: inf}) + sqrt(2)*Z with unit 1; the rational
                      subgroup of the unit is exactly the rational part
 
-The name uhf-<n> is accepted for every positive integer n and builds
-the single-vertex diagram of the supernatural number of n up to the
-first stage from which every stage ratio is 1, where the tail repeats;
-the certified invariant is then exactly the factorization of n.
+The name uhf-<n> is accepted for every positive integer n written in
+ASCII digits.  It builds the single-vertex diagram of the supernatural
+number of n up to the first stage from which every stage ratio is 1,
+where the tail repeats; the certified invariant is then exactly the
+factorization of n.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def get_entry(name: str) -> CatalogEntry:
         return _FIXED_ENTRIES[name]
     if name.startswith("uhf-"):
         suffix = name[len("uhf-"):]
-        if suffix.isdigit() and int(suffix) >= 1:
+        if suffix.isascii() and suffix.isdigit() and int(suffix) >= 1:
             number = SupernaturalNumber.from_int(int(suffix))
             diagram = uhf_diagram(number)
             return CatalogEntry(
@@ -163,11 +164,3 @@ def get_entry(name: str) -> CatalogEntry:
                 },
             )
     raise KeyError("unknown catalog entry %r" % (name,))
-
-
-def diagram_entries() -> list[CatalogEntry]:
-    """The built-in diagram entries plus a few uhf-<n> representatives."""
-    names = [n for n in catalog_names() if _FIXED_ENTRIES[n].kind == "diagram"]
-    entries = [_FIXED_ENTRIES[n] for n in names]
-    entries.extend(get_entry("uhf-%d" % n) for n in (2, 6, 12, 30))
-    return entries

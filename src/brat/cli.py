@@ -71,7 +71,7 @@ def _catalog_entry(name: str):
     try:
         return get_entry(name)
     except KeyError as exc:
-        raise InputError(str(exc)) from None
+        raise InputError(exc.args[0]) from None
 
 
 def _load(source: str, want: str):

@@ -125,22 +125,13 @@ class QuadraticElement(Record):
 def quadratic_sign(q: Fraction, z: int, d: int) -> int:
     """Exact sign of q + z*sqrt(d) for square-free d >= 2.
 
-    When q and z disagree in sign the comparison reduces to q*q versus
-    d*z*z, flipped by the sign of z; equality cannot occur because
-    sqrt(d) is irrational.
+    When q and z do not disagree in sign, the sign is that of whichever
+    term is nonzero.  Otherwise the larger magnitude wins: the sign is
+    sign(q) times that of q*q - d*z*z, which is never 0 because sqrt(d)
+    is irrational.
     """
-    if z == 0:
-        return (q > 0) - (q < 0)
-    if q == 0:
-        return 1 if z > 0 else -1
-    if q > 0 and z > 0:
-        return 1
-    if q < 0 and z < 0:
-        return -1
-    lhs, rhs = q * q, d * z * z
-    if z > 0:
-        return 1 if rhs > lhs else -1
-    return 1 if lhs > rhs else -1
+    x = (q or z) if q * z >= 0 else q * (q * q - d * z * z)
+    return (x > 0) - (x < 0)
 
 
 def _is_squarefree(d: int) -> bool:

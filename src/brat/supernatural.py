@@ -17,11 +17,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import total_ordering
 from typing import Iterable, Mapping, Union
 
+from ._record import Record, as_int
 from .primes import factorize, is_prime, prime_index
 
 
+@total_ordering
 class _Omega:
     """The infinite exponent symbol.  A process-wide singleton."""
 
@@ -40,7 +43,8 @@ class _Omega:
         return (_Omega, ())
 
     # OMEGA absorbs addition and lies above every natural; an int on the
-    # left defers to the reflected method, so 3 + OMEGA and 3 < OMEGA work
+    # left defers to the reflected method, so 3 + OMEGA and 3 < OMEGA work,
+    # and total_ordering derives <=, > and >= from < and identity
     def __add__(self, other):
         return self if isinstance(other, (int, _Omega)) else NotImplemented
 
@@ -49,52 +53,29 @@ class _Omega:
     def __lt__(self, other):
         return False if isinstance(other, (int, _Omega)) else NotImplemented
 
-    def __le__(self, other):
-        return other is self if isinstance(other, (int, _Omega)) else NotImplemented
-
-    def __gt__(self, other):
-        return other is not self if isinstance(other, (int, _Omega)) else NotImplemented
-
-    def __ge__(self, other):
-        return True if isinstance(other, (int, _Omega)) else NotImplemented
-
 
 OMEGA = _Omega()
 
 Exponent = Union[int, _Omega]
 
 
-def _check_exponent(p: int, e) -> Exponent:
-    if e is OMEGA:
-        return e
-    if isinstance(e, bool) or not isinstance(e, int):
-        raise ValueError("exponent of %d must be a natural or OMEGA, got %r" % (p, e))
-    if e < 0:
-        raise ValueError("exponent of %d must be nonnegative, got %d" % (p, e))
-    return e
+class SupernaturalNumber(Record):
+    """Immutable map from primes to exponents, zeros dropped: `exponents`
+    becomes its (prime, exponent) pairs in increasing prime order."""
 
+    exponents: Mapping[int, Exponent] = ()
 
-class SupernaturalNumber:
-    """Immutable map from primes to exponents, zeros dropped."""
-
-    __slots__ = ("_items", "_map")
-
-    def __init__(self, exponents: Mapping[int, Exponent] = ()):
+    def __post_init__(self):
         items = []
-        for p, e in sorted(dict(exponents).items()):
+        for p, e in sorted(dict(self.exponents).items()):
             if isinstance(p, bool) or not isinstance(p, int) or not is_prime(p):
                 raise ValueError("supernatural keys must be primes, got %r" % (p,))
-            e = _check_exponent(p, e)
+            if e is not OMEGA and as_int(e, "exponent of %d must be a natural or OMEGA" % p) < 0:
+                raise ValueError("exponent of %d must be nonnegative, got %d" % (p, e))
             if e > 0:
                 items.append((p, e))
-        object.__setattr__(self, "_items", tuple(items))
+        object.__setattr__(self, "exponents", tuple(items))
         object.__setattr__(self, "_map", dict(items))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SupernaturalNumber is immutable")
-
-    def __reduce__(self):
-        return (SupernaturalNumber, (self._map,))
 
     @classmethod
     def from_int(cls, n: int) -> "SupernaturalNumber":
@@ -105,10 +86,10 @@ class SupernaturalNumber:
 
     @property
     def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self._items)
+        return tuple(p for p, _ in self.exponents)
 
     def items(self) -> tuple[tuple[int, Exponent], ...]:
-        return self._items
+        return self.exponents
 
     def exponent(self, p: int) -> Exponent:
         return self._map.get(p, 0)
@@ -116,7 +97,7 @@ class SupernaturalNumber:
     def to_int(self) -> int:
         """The integer value; only finite supernatural numbers have one."""
         n = 1
-        for p, e in self._items:
+        for p, e in self.exponents:
             if e is OMEGA:
                 raise ValueError("infinite exponent at %d has no integer value" % p)
             n *= p**e
@@ -126,13 +107,13 @@ class SupernaturalNumber:
         if not isinstance(other, SupernaturalNumber):
             return NotImplemented
         exps = dict(self._map)
-        for p, e in other._items:
+        for p, e in other.exponents:
             exps[p] = exps.get(p, 0) + e
         return SupernaturalNumber(exps)
 
     def divides(self, other: "SupernaturalNumber") -> bool:
         """Pointwise exponent comparison; OMEGA dominates."""
-        return all(e <= other.exponent(p) for p, e in self._items)
+        return all(e <= other.exponent(p) for p, e in self.exponents)
 
     def q_subset(self, other: "SupernaturalNumber") -> bool:
         """Whether Q(self) is contained in Q(other).
@@ -173,7 +154,7 @@ class SupernaturalNumber:
         if j < 1:
             raise ValueError("stage index must be >= 1, got %r" % (j,))
         bound = j * (j.bit_length() + 2)
-        return math.prod(p ** min(j, e) for p, e in self._items
+        return math.prod(p ** min(j, e) for p, e in self.exponents
                          if p <= j or (p < bound and prime_index(p) <= j))
 
     def contains(self, x: Fraction) -> bool:
@@ -187,7 +168,7 @@ class SupernaturalNumber:
     def to_data(self) -> dict[str, object]:
         """JSON-ready form: decimal prime keys in numeric order, values
         naturals or the string "inf"."""
-        return {str(p): ("inf" if e is OMEGA else e) for p, e in self._items}
+        return {str(p): ("inf" if e is OMEGA else e) for p, e in self.exponents}
 
     @classmethod
     def from_data(cls, data: Mapping[str, object]) -> "SupernaturalNumber":
@@ -207,24 +188,16 @@ class SupernaturalNumber:
                 raise ValueError("bad exponent %r for prime %s" % (raw, key))
         return cls(exps)
 
-    def __eq__(self, other):
-        if not isinstance(other, SupernaturalNumber):
-            return NotImplemented
-        return self._items == other._items
-
-    def __hash__(self):
-        return hash(self._items)
-
     def __repr__(self):
         body = ", ".join(
-            "%d: %s" % (p, "OMEGA" if e is OMEGA else e) for p, e in self._items
+            "%d: %s" % (p, "OMEGA" if e is OMEGA else e) for p, e in self.exponents
         )
         return "SupernaturalNumber({%s})" % body
 
     def __str__(self):
-        if not self._items:
+        if not self.exponents:
             return "1"
         return "*".join(
             ("%d^w" % p) if e is OMEGA else ("%d^%d" % (p, e) if e > 1 else str(p))
-            for p, e in self._items
+            for p, e in self.exponents
         )

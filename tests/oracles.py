@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from brat.bratteli import CERTIFIED, REPEAT_LAST, TRUNCATED, BratteliDiagram, uhf_diagram
+from brat.bratteli import CERTIFIED, REPEAT_LAST, TRUNCATED, BratteliDiagram
 from brat.ordered_group import CyclicOrderedGroup, DivisorClosureReport
 from brat.primes import factorize
 from brat.supernatural import OMEGA, SupernaturalNumber
@@ -263,10 +263,25 @@ def naive_ell(exponents: dict[int, int | None], j: int) -> int:
     return value
 
 
+def naive_prime_index(p: int) -> int:
+    """1-based position of the prime p, by trial division of 2..p."""
+    return sum(all(k % d for d in range(2, math.isqrt(k) + 1)) for k in range(2, p + 1))
+
+
 def stabilization_stage(number) -> int:
-    """Smallest stage from which the uhf_diagram tail repeats, found by
-    building the diagram at stage 1, 2, 3, ... in turn."""
-    stage = 1
-    while uhf_diagram(number, stage).tail != REPEAT_LAST:
-        stage += 1
+    """Smallest stage S >= 1 from which every ratio naive_ell(j) /
+    naive_ell(j-1) is the product L of the OMEGA primes.
+
+    Past the stage after every support prime has entered and every
+    finite exponent is full, each ratio is L, so the scan starts there
+    and walks down while the ratio below is still L."""
+    raw = {p: (None if e is OMEGA else e) for p, e in number.items()}
+    limit = math.prod(p for p, e in raw.items() if e is None)
+    stage = 1 + max([0] + [max(naive_prime_index(p), e or 0) for p, e in raw.items()])
+    above = naive_ell(raw, stage - 1)
+    while stage > 1:
+        below = naive_ell(raw, stage - 2)
+        if above != below * limit:
+            break
+        stage, above = stage - 1, below
     return stage

@@ -17,7 +17,7 @@ from brat.bratteli import (
     tower_profile,
     verify_premorphism,
 )
-from brat.catalog import diagram_entries, get_entry
+from brat.catalog import catalog_names, get_entry
 from brat.ordered_group import (
     CyclicOrderedGroup,
     QuadraticElement,
@@ -52,6 +52,12 @@ def criterion(num: int, text: str):
         ok = True
     finally:
         print("%s criterion %2d: %s" % ("PASS" if ok else "FAIL", num, text))
+
+
+def diagram_entries():
+    """The built-in diagram entries plus a few uhf-<n> representatives."""
+    entries = [get_entry(name) for name in catalog_names()]
+    return [e for e in entries if e.kind == "diagram"] + [get_entry("uhf-%d" % n) for n in (2, 6, 12, 30)]
 
 
 def _work_depth(diagram) -> int:

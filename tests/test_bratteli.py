@@ -158,7 +158,6 @@ class TestTowerProfile:
         assert profile.heights == ((1,), (1, 1), (3, 3), (9, 9), (27, 27))
         assert profile.gcds == (1, 1, 3, 9, 27)
         assert profile.ratios == (1, 3, 3, 3)
-        assert profile.ratio(1) == 1 and profile.ratio(4) == 3
         assert profile.depth == 4
 
     def test_walked_profile_keeps_the_record_contract(self):
@@ -209,7 +208,7 @@ class TestTowerProfile:
         depth = diagram.given_depth + (3 if diagram.is_infinite else 0)
         profile = tower_profile(diagram, depth)
         for n in range(1, depth + 1):
-            assert profile.gcds[n] == profile.gcds[n - 1] * profile.ratio(n)
+            assert profile.gcds[n] == profile.gcds[n - 1] * profile.ratios[n - 1]
             assert math.gcd(*profile.heights[n]) == profile.gcds[n]
 
 
@@ -486,39 +485,40 @@ class TestWalkAgainstOracles:
 
 class TestUhfDiagram:
     def test_frozen_example(self):
-        d = uhf_diagram(SupernaturalNumber({2: 1, 3: 1}), 3)
+        d = uhf_diagram(SupernaturalNumber({2: 1, 3: 1}))
         assert d.matrices == (((2,),), ((3,),), ((1,),))
         assert d.tail == REPEAT_LAST
 
     def test_omega_prime_stabilizes_immediately(self):
-        d = uhf_diagram(SupernaturalNumber({2: OMEGA}), 1)
-        assert d == BratteliDiagram((1, 1), (((2,),),), tail=REPEAT_LAST)
+        # the ratio is 2 from the first stage on; the diagram stops at the
+        # stage after 2 has entered
+        d = uhf_diagram(SupernaturalNumber({2: OMEGA}))
+        assert d == BratteliDiagram((1, 1, 1), (((2,),), ((2,),)), tail=REPEAT_LAST)
+        assert stabilization_stage(SupernaturalNumber({2: OMEGA})) == 1
 
     def test_unstable_prefix_is_finite(self):
         # stage sizes 2, 36, 216, ... so the ratio runs 2, 18, 6, 6, ...
         # and only settles to 6 = 2*3 from the third stage on
         both = SupernaturalNumber({2: OMEGA, 3: OMEGA})
-        assert uhf_diagram(both, 1).tail is None
-        assert uhf_diagram(both, 2).tail is None
-        settled = uhf_diagram(both, 3)
+        settled = uhf_diagram(both)
         assert settled.tail == REPEAT_LAST
         assert settled.matrices == (((2,),), ((18,),), ((6,),))
+        assert stabilization_stage(both) == 3
 
-    def test_stages_validation(self):
-        with pytest.raises(ValueError):
-            uhf_diagram(SupernaturalNumber(), 0)
+    def test_trivial_number_gets_one_stage(self):
+        assert uhf_diagram(SupernaturalNumber()) == BratteliDiagram((1, 1), (((1,),),), tail=REPEAT_LAST)
 
-    @given(supernaturals(max_exponent=4, max_size=3), st.integers(1, 8))
-    def test_round_trip_through_invariant(self, number, stages):
-        diagram = uhf_diagram(number, stages)
-        if diagram.is_infinite:
-            result = maximal_uhf(diagram, stages + 2)
-            assert result.exactness == CERTIFIED
-            assert result.value == number
-        else:
-            result = maximal_uhf(diagram, stages)
-            assert result.exactness == CERTIFIED
-            assert result.value == SupernaturalNumber.from_int(number.ell(stages))
+    @given(supernaturals(max_exponent=4, max_size=3))
+    def test_round_trip_through_invariant(self, number):
+        diagram = uhf_diagram(number)
+        result = maximal_uhf(diagram, diagram.given_depth + 2)
+        assert result.exactness == CERTIFIED
+        assert result.value == number
+        # before the tail revisits, each truncation is the stage size
+        for stage in range(1, diagram.given_depth):
+            result = maximal_uhf(diagram, stage)
+            assert result.exactness == TRUNCATED
+            assert result.value == SupernaturalNumber.from_int(number.ell(stage))
 
     def test_catalog_uhf_entries_certify(self):
         for n in (2, 6, 12, 30, 360):
@@ -527,25 +527,25 @@ class TestUhfDiagram:
             assert result.value == SupernaturalNumber.from_int(n)
             assert result.exactness == CERTIFIED
 
-    @given(supernaturals(max_exponent=6, max_size=4), st.integers(1, 30))
-    def test_ratios_match_naive_stages(self, number, stages):
+    @given(supernaturals(max_exponent=6, max_size=4))
+    def test_ratios_match_naive_stages(self, number):
         raw = {p: (None if e is OMEGA else e) for p, e in number.items()}
         # the support lies in the first 8 primes and finite exponents are
         # at most 6, so from stage 9 on every ratio is the OMEGA product
+        diagram = uhf_diagram(number)
+        stages = diagram.given_depth
         ells = [naive_ell(raw, j) for j in range(max(stages, 9) + 1)]
         ratios = [b // a for a, b in zip(ells, ells[1:])]
         limit = math.prod(p for p, e in raw.items() if e is None)
-        diagram = uhf_diagram(number, stages)
         assert diagram.matrices == tuple(((r,),) for r in ratios[:stages])
-        assert diagram.is_infinite == all(r == limit for r in ratios[stages - 1:])
+        assert diagram.is_infinite and all(r == limit for r in ratios[stages - 1:])
 
     def test_catalog_uhf_stage_count_matches_oracle(self):
         for n in [*range(1, 301), 1009, 2**20, 3**12 * 7919]:
             number = SupernaturalNumber.from_int(n)
-            stage = stabilization_stage(number)
             payload = get_entry("uhf-%d" % n).payload
-            assert payload.given_depth == stage
-            reference = uhf_diagram(number, stage)
+            assert payload.given_depth == stabilization_stage(number)
+            reference = uhf_diagram(number)
             assert payload == BratteliDiagram(reference.levels, reference.matrices, reference.tail, "uhf-%d" % n)
 
     def test_uhf_1009_smoke(self):

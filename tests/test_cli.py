@@ -444,6 +444,19 @@ class TestCatalog:
         status, _, err = run(capsys, "catalog", "uhf-0")
         assert status == 2 and "unknown catalog entry" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("name, shown", [
+        ("nope", "'nope'"),
+        ("uhf-0", "'uhf-0'"),
+        ("uhf-", "'uhf-'"),
+        ("uhf-x", "'uhf-x'"),
+        ("uhf-²", "'uhf-\\u00b2'"),  # a superscript digit that int() refuses
+        ("uhf-٣", "'uhf-\\u0663'"),  # Arabic-Indic 3, which int() reads as 3
+    ])
+    def test_unknown_names_exact_stderr(self, capsys, name, shown):
+        expected = '{"error": {"type": "input", "message": "unknown catalog entry %s"}}\n' % shown
+        assert run(capsys, "catalog", name) == (2, "", expected)
+        assert run(capsys, "mu", "catalog:" + name) == (2, "", expected)
+
 
 class TestLoading:
     def test_diagram_from_file(self, capsys, tmp_path):

@@ -243,6 +243,29 @@ class TestQuadraticSign:
             assert got == interval_sign(q, z, d)
 
 
+    @settings(max_examples=300)
+    @given(
+        st.integers(-10**6, 10**6),
+        st.integers(1, 10**4),
+        st.integers(-3, 3),
+        st.sampled_from((2, 3, 5, 6, 7, 10, 11, 13, 9973 * 2)),
+        st.booleans(),
+    )
+    def test_near_ties_match_mpmath(self, z, den, nudge, d, same_sign):
+        # q is within a few 1/den of -z*sqrt(d), so q and z mostly have
+        # opposite signs and q*q - d*z*z is tiny next to both terms;
+        # same_sign flips q for the agreeing-signs branch
+        from mpmath import mp, mpf, sqrt
+
+        num = (math.isqrt(d * z * z * den * den) + nudge) * (-1 if z > 0 else 1)
+        q = Fraction(-num if same_sign else num, den)
+        with mp.workdps(60):
+            value = mpf(q.numerator) / q.denominator + z * sqrt(d)
+            assert q == z == 0 or abs(value) > mpf(10) ** -30
+            expected = (value > 0) - (value < 0)
+        assert quadratic_sign(q, z, d) == expected
+
+
 class TestQuadraticGroup:
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

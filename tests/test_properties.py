@@ -1,0 +1,81 @@
+"""Metamorphic properties of the invariant, from the theory rather than
+from the walk: each compares two computations that share no shortcut,
+so a change to the walk, its tail certificate or its searches that
+breaks one of them shows here."""
+
+from hypothesis import given, settings, strategies as st
+
+from brat.bratteli import (
+    CERTIFIED,
+    BratteliDiagram,
+    k0_unit_divisor,
+    maximal_uhf,
+    odometer,
+    telescope,
+    tower_profile,
+)
+from gen import diagrams
+
+WIDE = dict(max_width=4, max_depth=5, max_entry=6)
+
+
+def _depth(diagram: BratteliDiagram, extra: int) -> int:
+    return diagram.given_depth + (extra if diagram.is_infinite else 0)
+
+
+@settings(max_examples=200)
+@given(diagrams(**WIDE), st.integers(0, 6), st.data())
+def test_mu_ignores_the_order_of_each_levels_vertices(diagram, extra, data):
+    # level n is reordered by perms[n]; a repeating tail maps its last
+    # level to itself, so the last two levels share one permutation
+    perms = [data.draw(st.permutations(range(k))) for k in diagram.levels]
+    if diagram.is_infinite and diagram.given_depth >= 2:
+        perms[-1] = perms[-2]
+    matrices = tuple(tuple(tuple(m[i][j] for j in perms[n - 1]) for i in perms[n])
+                     for n, m in enumerate(diagram.matrices, start=1))
+    permuted = BratteliDiagram(diagram.levels, matrices, diagram.tail)
+    depth = _depth(diagram, extra)
+    assert maximal_uhf(permuted, depth) == maximal_uhf(diagram, depth)
+
+
+@settings(max_examples=200)
+@given(diagrams(**WIDE).filter(lambda d: d.is_infinite), st.data())
+def test_telescoped_tail_keeps_mu(diagram, data):
+    # the tail survives when the last segment starts at L = given_depth - 1
+    # or later, so at least two cuts lie there; any cuts may precede them
+    start = data.draw(st.integers(max(diagram.given_depth - 1, 1), diagram.given_depth + 3))
+    steps = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    head = data.draw(st.sets(st.integers(1, start - 1))) if start > 1 else set()
+    cuts = sorted(head) + [start + sum(steps[:i]) for i in range(len(steps) + 1)]
+    short = telescope(diagram, cuts)
+    assert short.is_infinite
+    mu, reference = maximal_uhf(short, len(cuts)), maximal_uhf(diagram, cuts[-1])
+    # a revisit between the last two cuts is one the full walk meets too
+    assert mu.exactness != CERTIFIED or reference.exactness == CERTIFIED
+    if mu.exactness == reference.exactness:
+        assert mu.value == reference.value
+
+
+@settings(max_examples=200)
+@given(diagrams(**WIDE), st.integers(0, 8))
+def test_odometer_keeps_mu_unless_the_period_exceeds_one(diagram, extra):
+    depth = _depth(diagram, extra)
+    period = tower_profile(diagram, depth).period
+    mu, reference = maximal_uhf(odometer(diagram, depth), depth), maximal_uhf(diagram, depth)
+    if period in (None, 1):
+        assert mu.value == reference.value
+    if period == 1:
+        assert mu.exactness == reference.exactness == CERTIFIED
+
+
+@settings(max_examples=200)
+@given(diagrams(**WIDE), st.integers(0, 4), st.integers(1, 400))
+def test_k0_unit_divisor_hits_exactly_when_n_divides_the_gcd(diagram, extra, n):
+    depth = _depth(diagram, extra)
+    profile = tower_profile(diagram, depth)
+    witness = k0_unit_divisor(diagram, n, depth)
+    assert (witness is not None) == (profile.gcds[depth] % n == 0)
+    if witness is not None:
+        stage = witness.stage
+        assert [s for s in range(depth + 1) if profile.gcds[s] % n == 0][0] == stage
+        assert tuple(n * x for x in witness.entries) == profile.heights[stage]

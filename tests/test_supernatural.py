@@ -48,6 +48,61 @@ class TestConstruction:
         assert copy.deepcopy(OMEGA) is OMEGA
 
 
+class TestValueContract:
+    """The immutable-value behaviour SupernaturalNumber takes from Record."""
+
+    VALUES = (SupernaturalNumber(), SupernaturalNumber({2: OMEGA, 3: 2, 5: 1}), SupernaturalNumber({7: OMEGA}))
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_keeps_value_and_omega_identity(self, protocol):
+        for n in self.VALUES:
+            back = pickle.loads(pickle.dumps(n, protocol))
+            assert type(back) is SupernaturalNumber
+            assert back == n and hash(back) == hash(n) and back.items() == n.items()
+            assert all(e is OMEGA for p, e in back.items() if n.exponent(p) is OMEGA)
+            assert [back.exponent(p) for p in (2, 3, 5, 7, 11)] == [n.exponent(p) for p in (2, 3, 5, 7, 11)]
+        assert pickle.loads(pickle.dumps(OMEGA, protocol)) is OMEGA
+
+    def test_copy_and_deepcopy(self):
+        for n in self.VALUES:
+            for twin in (copy.copy(n), copy.deepcopy(n)):
+                assert twin == n and hash(twin) == hash(n)
+                assert all(e is OMEGA for p, e in twin.items() if n.exponent(p) is OMEGA)
+                assert twin.exponent(3) == n.exponent(3)
+
+    @given(supernaturals(), st.randoms(use_true_random=False))
+    def test_key_order_does_not_matter(self, n, rng):
+        pairs = list(n.items())
+        rng.shuffle(pairs)
+        shuffled = SupernaturalNumber(dict(pairs))
+        assert shuffled == n and hash(shuffled) == hash(n)
+        assert shuffled.items() == n.items() and repr(shuffled) == repr(n)
+
+    def test_hash_ignores_build_order(self):
+        a = SupernaturalNumber({5: 1, 2: OMEGA, 3: 2})
+        b = SupernaturalNumber(exponents={3: 2, 5: 1, 2: OMEGA, 7: 0})
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+    def test_immutable(self):
+        n = SupernaturalNumber({2: 3})
+        for name in ("exponents", "_map", "bogus"):
+            with pytest.raises(AttributeError):
+                setattr(n, name, {})
+            with pytest.raises(AttributeError):
+                delattr(n, name)
+        assert n.items() == ((2, 3),) and n.exponent(2) == 3
+
+    def test_repr_and_str(self):
+        assert repr(SupernaturalNumber()) == "SupernaturalNumber({})"
+        assert repr(SupernaturalNumber({5: 1, 2: OMEGA, 3: 2})) == "SupernaturalNumber({2: OMEGA, 3: 2, 5: 1})"
+        assert str(SupernaturalNumber({5: 1, 2: OMEGA, 3: 2})) == "2^w*3^2*5"
+        assert str(SupernaturalNumber({7: 1})) == "7" and str(SupernaturalNumber()) == "1"
+
+    def test_not_equal_to_other_types(self):
+        n = SupernaturalNumber({2: 1})
+        assert n != ((2, 1),) and n != {2: 1} and n != 2
+
+
 class TestArithmetic:
     def test_mul_examples(self):
         a = SupernaturalNumber({2: 1})
