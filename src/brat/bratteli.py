@@ -335,15 +335,6 @@ class Premorphism(Record):
             "matrices": [[list(row) for row in m] for m in self.matrices],
         }
 
-    @classmethod
-    def from_data(cls, data) -> "Premorphism":
-        if not isinstance(data, dict):
-            raise ValueError("premorphism must be an object, got %r" % (data,))
-        try:
-            return cls(tuple(data["level_map"]), tuple(data["matrices"]))
-        except (KeyError, TypeError) as exc:
-            raise ValueError("premorphism needs level_map and matrices: %s" % exc) from None
-
 
 class PremorphismReport(Record):
     """Outcome of checking the commuting squares of a premorphism."""

@@ -37,8 +37,8 @@ from .dot import export_dot
 from .ordered_group import (
     CyclicOrderedGroup,
     QuadraticElement,
-    QuadraticIrrationalGroup,
     coprime_divisor_property,
+    group_from_data,
     max_supernatural,
     rational_subgroup_member,
     unit_divisor,
@@ -92,35 +92,6 @@ def _load(source: str, want: str):
     if want == "diagram":
         return BratteliDiagram.from_data(data)
     return group_from_data(data)
-
-
-def group_to_data(group) -> dict:
-    if isinstance(group, CyclicOrderedGroup):
-        return {"kind": "cyclic", "generators": list(group.generators), "unit": group.unit}
-    return {
-        "kind": "quadratic",
-        "H": group.h_number.to_data(),
-        "alpha_square": group.alpha_square,
-        "unit": group.unit.to_data(),
-    }
-
-
-def group_from_data(data) -> object:
-    if not isinstance(data, dict):
-        raise InputError("group must be an object, got %r" % (data,))
-    kind = data.get("kind")
-    try:
-        if kind == "cyclic":
-            return CyclicOrderedGroup(tuple(data["generators"]), data["unit"])
-        if kind == "quadratic":
-            return QuadraticIrrationalGroup(
-                h_number=SupernaturalNumber.from_data(data["H"]),
-                alpha_square=data["alpha_square"],
-                unit=QuadraticElement.from_data(data["unit"]),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("bad group description: %s" % exc) from None
-    raise InputError("group kind must be 'cyclic' or 'quadratic', got %r" % (kind,))
 
 
 def _depth_for(diagram: BratteliDiagram, requested) -> int:
@@ -313,12 +284,11 @@ def _catalog(args, subject, depth):
     if args.name is None:
         return 0, {"entries": catalog_names(), "patterns": ["uhf-<n>"]}
     entry = _catalog_entry(args.name)
-    payload = entry.payload.to_data() if entry.kind == "diagram" else group_to_data(entry.payload)
     return 0, {
         "name": entry.name,
         "kind": entry.kind,
         "note": entry.note,
-        "payload": payload,
+        "payload": entry.payload.to_data(),
         "expected": entry.expected,
     }
 

@@ -100,6 +100,9 @@ class CyclicOrderedGroup(Record):
         if as_int(self.unit, "unit must be an integer") < 1 or not semigroup_member(gens, self.unit):
             raise ValueError("unit %r is not in the positive cone" % (self.unit,))
 
+    def to_data(self) -> dict[str, object]:
+        return {"kind": "cyclic", "generators": list(self.generators), "unit": self.unit}
+
 
 class QuadraticElement(Record):
     """The real number q + z*sqrt(d), with d carried by the group."""
@@ -157,6 +160,14 @@ class QuadraticIrrationalGroup(Record):
             return_value = "unit %s + %s*sqrt(%d) is not positive" % (self.unit.q, self.unit.z, self.alpha_square)
             raise ValueError(return_value)
 
+    def to_data(self) -> dict[str, object]:
+        return {
+            "kind": "quadratic",
+            "H": self.h_number.to_data(),
+            "alpha_square": self.alpha_square,
+            "unit": self.unit.to_data(),
+        }
+
     def sign(self, element: QuadraticElement) -> int:
         return quadratic_sign(element.q, element.z, self.alpha_square)
 
@@ -166,6 +177,25 @@ class QuadraticIrrationalGroup(Record):
 
 OrderedGroup = Union[CyclicOrderedGroup, QuadraticIrrationalGroup]
 GroupElement = Union[int, QuadraticElement]
+
+
+def group_from_data(data) -> OrderedGroup:
+    """The group that `to_data` describes: an object tagged "cyclic" or "quadratic"."""
+    if not isinstance(data, dict):
+        raise ValueError("group must be an object, got %r" % (data,))
+    kind = data.get("kind")
+    try:
+        if kind == "cyclic":
+            return CyclicOrderedGroup(tuple(data["generators"]), data["unit"])
+        if kind == "quadratic":
+            return QuadraticIrrationalGroup(
+                h_number=SupernaturalNumber.from_data(data["H"]),
+                alpha_square=data["alpha_square"],
+                unit=QuadraticElement.from_data(data["unit"]),
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError("bad group description: %s" % exc) from None
+    raise ValueError("group kind must be 'cyclic' or 'quadratic', got %r" % (kind,))
 
 
 def unit_divisor(group: OrderedGroup, n: int) -> Optional[GroupElement]:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import hypothesis.strategies as st
 
 from brat.bratteli import BratteliDiagram
+from brat.ordered_group import CyclicOrderedGroup, QuadraticElement, QuadraticIrrationalGroup
 from brat.supernatural import OMEGA, SupernaturalNumber
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
@@ -71,3 +73,24 @@ def diagrams(draw, max_width: int = 3, max_depth: int = 4, max_entry: int = 3, a
                 matrix[draw(st.integers(0, rows - 1))][j] = draw(st.integers(1, max_entry))
         matrices.append(tuple(tuple(row) for row in matrix))
     return BratteliDiagram(tuple(levels), tuple(matrices), "repeat-last" if tail else None)
+
+
+@st.composite
+def ordered_groups(draw):
+    """A valid cyclic or quadratic group: the cyclic unit is a nonzero
+    combination of the generators; the quadratic unit's denominator has
+    only primes of H, and a negative unit is negated."""
+    if draw(st.booleans()):
+        generators = draw(st.lists(st.integers(1, 30), min_size=1, max_size=4))
+        unit = sum(draw(st.integers(0, 3)) * g for g in generators) or generators[0]
+        return CyclicOrderedGroup(tuple(generators), unit)
+    h = draw(supernaturals(max_exponent=3, primes=(2, 3, 5)))
+    denominator = 1
+    for p, e in h.items():
+        denominator *= p ** draw(st.integers(0, 3 if e is OMEGA else e))
+    q = Fraction(draw(st.integers(1, 50)), denominator)
+    z = draw(st.integers(-20, 20))
+    d = draw(st.sampled_from((2, 3, 5, 6, 7, 10, 11, 13)))
+    if q * q < d * z * z and z < 0:  # q + z*sqrt(d) < 0
+        q, z = -q, -z
+    return QuadraticIrrationalGroup(h, d, QuadraticElement(q, z))

@@ -608,12 +608,6 @@ class TestPremorphism:
         )
         assert verify_premorphism(ident, E55, E55).ok
 
-    def test_serialization_round_trip(self):
-        pre = canonical_premorphism(E55, 2)
-        assert Premorphism.from_data(pre.to_data()) == pre
-        with pytest.raises(ValueError):
-            Premorphism.from_data({"level_map": [0]})
-
     @given(diagrams(), st.integers(0, 2))
     def test_canonical_always_verifies(self, diagram, extra):
         depth = diagram.given_depth + (extra if diagram.is_infinite else 0)

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 import brat.bratteli
 import brat.cli
 from brat.bratteli import BratteliDiagram
-from brat.cli import group_from_data, group_to_data, main
+from brat.cli import main
 from brat.dot import export_dot
-from brat.ordered_group import CyclicOrderedGroup
-from gen import diagrams, supernaturals
+from brat.ordered_group import group_from_data
+from gen import diagrams, ordered_groups, supernaturals
 
 E55 = "catalog:example-5.5"
 FINDIM = "catalog:findim-4-6"
@@ -25,6 +25,50 @@ DRIFT_DATA = {
     "levels": [1, 2, 2],
     "matrices": [[[1], [1]], [[1, 1], [0, 1]]],
     "tail": "repeat-last",
+}
+
+# `brat catalog NAME` stdout for each fixed entry, byte for byte
+CATALOG_GOLDENS = {
+    "example-5.5": (
+        '{"name": "example-5.5", "kind": "diagram", "note": "two vertices per level, '
+        'multiplicities 2/1 crosswise; the height gcds are 1, 1, 3, 9, 27, ... and the maximal '
+        'UHF subalgebra is M_{3^infinity}", "payload": {"name": "example-5.5", "levels": [1, 2, '
+        '2], "matrices": [[[1], [1]], [[2, 1], [1, 2]]], "tail": "repeat-last"}, "expected": '
+        '{"mu": {"value": {"3": "inf"}, "exactness": "certified"}, "gcds_0_4": [1, 1, 3, 9, 27]}}\n'
+    ),
+    "findim-4-6": (
+        '{"name": "findim-4-6", "kind": "diagram", "note": "the finite-dimensional algebra M_4 + '
+        'M_6; the largest unital matrix subalgebra is M_2, the gcd of the sizes", "payload": '
+        '{"name": "findim-4-6", "levels": [1, 2], "matrices": [[[4], [6]]], "tail": "none"}, '
+        '"expected": {"mu": {"value": {"2": 1}, "exactness": "certified"}}}\n'
+    ),
+    "cone-2-3-unit-2": (
+        '{"name": "cone-2-3-unit-2", "kind": "group", "note": "integers ordered by the semigroup '
+        '<2,3> with unit 2; coprime unit divisors compose, and only 1 divides the unit because '
+        'the witness for 2 would have to be 1, which sits outside the cone", "payload": {"kind": '
+        '"cyclic", "generators": [2, 3], "unit": 2}, "expected": {"propd": {"holds": true}, '
+        '"maxsn": {}}}\n'
+    ),
+    "cone-2-3-unit-6": (
+        '{"name": "cone-2-3-unit-6", "kind": "group", "note": "integers ordered by <2,3> with '
+        'unit 6; 2 and 3 divide the unit but their product does not, since 1 is outside the '
+        'cone", "payload": {"kind": "cyclic", "generators": [2, 3], "unit": 6}, "expected": '
+        '{"propd": {"holds": false, "counterexample": [2, 3]}, "maxsn": null}}\n'
+    ),
+    "free-product-2-3": (
+        '{"name": "free-product-2-3", "kind": "group", "note": "K0 of the reduced free product '
+        'of M_2 and M_3: the integers ordered by <2,3> with unit [1] = 6; no maximum '
+        'supernatural divisor, hence no maximal UHF subalgebra", "payload": {"kind": "cyclic", '
+        '"generators": [2, 3], "unit": 6}, "expected": {"propd": {"holds": false, '
+        '"counterexample": [2, 3]}, "maxsn": null}}\n'
+    ),
+    "quadratic-sqrt2": (
+        '{"name": "quadratic-sqrt2", "kind": "group", "note": "the dyadic rationals plus '
+        'sqrt(2)*Z with the real order and unit 1; an element lies in the rational subgroup of '
+        'the unit exactly when its sqrt(2) part vanishes", "payload": {"kind": "quadratic", "H": '
+        '{"2": "inf"}, "alpha_square": 2, "unit": {"k": "1", "z": 0}}, "expected": {"propd": '
+        '{"holds": true}, "maxsn": {"2": "inf"}}}\n'
+    ),
 }
 
 
@@ -444,6 +488,24 @@ class TestCatalog:
         status, _, err = run(capsys, "catalog", "uhf-0")
         assert status == 2 and "unknown catalog entry" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("name", sorted(CATALOG_GOLDENS))
+    def test_fixed_entry_golden(self, capsys, name):
+        assert run(capsys, "catalog", name) == (0, CATALOG_GOLDENS[name], "")
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_GOLDENS))
+    def test_fixed_entry_expected_is_the_default_output(self, capsys, name):
+        entry = json.loads(run(capsys, "catalog", name)[1])
+        expected, source = entry["expected"], "catalog:" + name
+        if entry["kind"] == "diagram":
+            mu = json.loads(run(capsys, "mu", source)[1])
+            assert {"value": mu["mu"], "exactness": mu["exactness"]} == expected["mu"]
+            if "gcds_0_4" in expected:
+                towers = json.loads(run(capsys, "towers", source, "--depth", "4")[1])
+                assert towers["gcds"] == expected["gcds_0_4"]
+        else:
+            assert json.loads(run(capsys, "group", "propd", source)[1]) == expected["propd"]
+            assert json.loads(run(capsys, "group", "maxsn", source)[1]) == {"maxsn": expected["maxsn"]}
+
     @pytest.mark.parametrize("name, shown", [
         ("nope", "'nope'"),
         ("uhf-0", "'uhf-0'"),
@@ -451,6 +513,8 @@ class TestCatalog:
         ("uhf-x", "'uhf-x'"),
         ("uhf-²", "'uhf-\\u00b2'"),  # a superscript digit that int() refuses
         ("uhf-٣", "'uhf-\\u0663'"),  # Arabic-Indic 3, which int() reads as 3
+        ("uhf-007", "'uhf-007'"),  # leading zeros: a second name for uhf-7
+        ("uhf-00", "'uhf-00'"),
     ])
     def test_unknown_names_exact_stderr(self, capsys, name, shown):
         expected = '{"error": {"type": "input", "message": "unknown catalog entry %s"}}\n' % shown
@@ -531,9 +595,10 @@ class TestLoading:
 
 
 class TestSerializationRoundTrips:
-    def test_cyclic_group(self):
-        group = CyclicOrderedGroup((2, 3), 6)
-        assert group_from_data(group_to_data(group)) == group
+    @given(ordered_groups())
+    def test_group_via_json_text(self, group):
+        text = json.dumps(group.to_data())
+        assert group_from_data(json.loads(text)) == group
 
     @given(diagrams())
     def test_diagram_via_json_text(self, diagram):
