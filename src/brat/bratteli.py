@@ -414,7 +414,7 @@ def _levels(diagram: BratteliDiagram, entries: Sequence[int], stage: int, depth:
     _validated_depth(diagram, depth)
     if stage < 0 or stage > depth:
         raise DiagramError("stage %d outside 0..%d" % (stage, depth))
-    v = tuple(int(e) for e in entries)
+    v = tuple(as_int(e, "vector entries must be integers") for e in entries)
     if len(v) != diagram.width_at(stage):
         raise DiagramError("vector length %d does not match the %d vertices at level %d"
                            % (len(v), diagram.width_at(stage), stage))
@@ -600,17 +600,17 @@ def rational_subgroup_witness(
 def scale_unit_stage(diagram: BratteliDiagram, x: Fraction, depth: int) -> DimensionVector:
     """Represent x * [unit] as a concrete stage vector.
 
-    x must lie in the rational group of the invariant at `depth`; the
-    result appears at the first stage whose height gcd absorbs the
-    denominator, as x times the height vector there.
+    The result appears at the first stage whose height gcd absorbs the
+    denominator, as x times the height vector there.  x lies in Q(mu)
+    exactly when M_den embeds, so a miss is "outside the rational group"
+    (ValueError) only when `uhf_embeds` answers "no-certified", and "not
+    yet divisible at depth" (DiagramError) otherwise.
     """
     x = Fraction(x)
     witness = k0_unit_divisor(diagram, x.denominator, depth)
     if witness is not None:
-        # the denominator divides gcds[stage], hence gcds[depth]: x lies
-        # in the rational group of the invariant
         return DimensionVector(witness.stage, tuple(e * x.numerator for e in witness.entries))
-    if not maximal_uhf(diagram, depth).value.contains(x):
+    if uhf_embeds(SupernaturalNumber.from_int(x.denominator), diagram, depth) == "no-certified":
         raise ValueError("%s lies outside the rational group of the invariant" % (x,))
     raise DiagramError("denominator of %s not yet divisible at depth %d" % (x, depth))
 
@@ -652,7 +652,7 @@ def telescope(diagram: BratteliDiagram, cut_points: Sequence[int]) -> BratteliDi
     the original diagram in equal chunks.
     """
     diagram.check()
-    cuts = tuple(int(c) for c in cut_points)
+    cuts = tuple(as_int(c, "cut points must be integers") for c in cut_points)
     if not cuts:
         raise ValueError("at least one cut point is required")
     if cuts[0] < 1 or any(b <= a for a, b in zip(cuts, cuts[1:])):

@@ -23,14 +23,15 @@ with the loaders that read files, `BratteliDiagram.from_data` and
 `group_from_data`, so importing this module builds no payload.
 
 The name uhf-<n> is accepted for every positive integer n written in
-ASCII digits without leading zeros.  It builds the single-vertex diagram
-of the supernatural number of n up to the first stage from which every
-stage ratio is 1, where the tail repeats; the certified invariant is
-then exactly the factorization of n.
+ASCII digits without leading zeros, as many as int() reads.  It builds
+the single-vertex diagram of the supernatural number of n up to the
+first stage from which every stage ratio is 1, where the tail repeats;
+the certified invariant is then exactly the factorization of n.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Union
 
 from ._record import Record
@@ -114,10 +115,14 @@ def get_entry(name: str) -> CatalogEntry:
             kind, payload = "group", group_from_data(data)
         else:
             kind, payload = "diagram", BratteliDiagram.from_data({**data, "name": name})
-        return CatalogEntry(name, kind, payload, entry["note"], entry["expected"])
+        # a JSON round trip copies `expected`, so no caller can change the table
+        return CatalogEntry(name, kind, payload, entry["note"], json.loads(json.dumps(entry["expected"])))
     if name.startswith("uhf-"):
         suffix = name[len("uhf-"):]
-        n = int(suffix) if suffix.isascii() and suffix.isdigit() else 0
+        try:
+            n = int(suffix) if suffix.isascii() and suffix.isdigit() else 0
+        except ValueError:  # more digits than Python's int-to-str limit
+            n = 0
         if n >= 1 and str(n) == suffix:
             number = SupernaturalNumber.from_int(n)
             diagram = uhf_diagram(number)

@@ -23,7 +23,6 @@ never does, being weakly unperforated.
 
 from __future__ import annotations
 
-import heapq
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -37,22 +36,21 @@ from .supernatural import Exponent, SupernaturalNumber
 
 @lru_cache(maxsize=256)
 def _residue_minima(gens: tuple[int, ...]) -> tuple[int, ...]:
-    # smallest member of the semigroup in each residue class mod gens[0],
-    # by shortest paths on the residue graph; gcd(gens) == 1 is assumed,
-    # so every class is reached
+    # smallest member of the semigroup in each residue class mod a = gens[0],
+    # by Böcker and Lipták's round robin (Algorithmica 48, 2007): generator b
+    # joins in one turn round each of the gcd(a, b) cycles r -> r + b from its
+    # least entry; gcd(gens) == 1 is assumed, so every class is reached
     a = gens[0]
-    minima = [0] + [-1] * (a - 1)
-    frontier = [(0, 0)]
-    while frontier:
-        value, residue = heapq.heappop(frontier)
-        if minima[residue] != -1 and value > minima[residue]:
-            continue
-        for g in gens[1:]:
-            nxt = value + g
-            r = nxt % a
-            if minima[r] == -1 or nxt < minima[r]:
-                minima[r] = nxt
-                heapq.heappush(frontier, (nxt, r))
+    minima = [0] + [math.inf] * (a - 1)
+    for b in gens[1:]:
+        d = math.gcd(a, b)
+        for start in range(d):
+            n = min(minima[start::d])
+            if n < math.inf:
+                for _ in range(a // d - 1):
+                    n += b
+                    r = n % a
+                    n = minima[r] = min(n, minima[r])
     return tuple(minima)
 
 
@@ -321,11 +319,9 @@ def rational_subgroup_member(
 
 
 def is_unperforated(group: OrderedGroup) -> bool:
-    """Weak unperforation.  A cyclic cone is unperforated exactly when
-    it is all of the nonnegative integers; quadratic groups always are."""
-    if isinstance(group, QuadraticIrrationalGroup):
-        return True
-    return semigroup_member(group.generators, 1)
+    """Weak unperforation.  A cyclic cone is unperforated exactly when it
+    holds 1, that is when its least generator is 1; quadratic groups are."""
+    return isinstance(group, QuadraticIrrationalGroup) or group.generators[0] == 1
 
 
 def scale_unit(group: CyclicOrderedGroup, x: Fraction) -> int:

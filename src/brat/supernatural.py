@@ -115,14 +115,6 @@ class SupernaturalNumber(Record):
         """Pointwise exponent comparison; OMEGA dominates."""
         return all(e <= other.exponent(p) for p, e in self.exponents)
 
-    def q_subset(self, other: "SupernaturalNumber") -> bool:
-        """Whether Q(self) is contained in Q(other).
-
-        The rational groups are nested exactly when the supernatural
-        numbers divide, so this is divisibility under another name.
-        """
-        return self.divides(other)
-
     @staticmethod
     def sup(values: Iterable["SupernaturalNumber"]) -> "SupernaturalNumber":
         """Least upper bound: pointwise maximum of exponents."""
@@ -158,12 +150,8 @@ class SupernaturalNumber(Record):
                          if p <= j or (p < bound and prime_index(p) <= j))
 
     def contains(self, x: Fraction) -> bool:
-        """Whether x lies in Q(self): every prime power of the
-        denominator stays within this number's exponents."""
-        den = Fraction(x).denominator
-        if den == 1:
-            return True
-        return all(e <= self.exponent(p) for p, e in factorize(den).items())
+        """Whether x lies in Q(self): the denominator divides self."""
+        return SupernaturalNumber.from_int(Fraction(x).denominator).divides(self)
 
     def to_data(self) -> dict[str, object]:
         """JSON-ready form: decimal prime keys in numeric order, values

@@ -784,6 +784,17 @@ class TestDivideElement:
         assert two.entries == (9,) and three.entries == (1,)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: divide_element(E55, (1.9, 2.2), 1, 3, 5),  # int() would walk (1, 2)
+    lambda: rational_subgroup_witness(E55, ("3", True), 1, 5),  # int() would walk (3, 1)
+    lambda: divide_element(E55, (2, 2.0), 1, 2, 5),  # an integral float is no int either
+    lambda: telescope(E55, [1.5, 2.7]),  # int() would cut at (1, 2)
+], ids=["divide-floats", "rsub-str-and-bool", "divide-integral-float", "telescope-floats"])
+def test_caller_integers_are_not_truncated(call):
+    with pytest.raises(ValueError, match="must be integers, got"):
+        call()
+
+
 class TestTelescope:
     def test_example_cuts(self):
         scoped = telescope(E55, (1, 3))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import brat.bratteli
 import brat.cli
 from brat.bratteli import BratteliDiagram
+from brat.catalog import get_entry
 from brat.cli import main
 from brat.dot import export_dot
 from brat.ordered_group import group_from_data
@@ -325,6 +326,18 @@ class TestTheta:
         assert status == 2
         assert "not yet divisible" in json.loads(err)["error"]["message"]
 
+    def test_miss_on_a_truncated_invariant(self, capsys, tmp_path):
+        # the tail's invariant is exactly 2^omega, which the walk never
+        # certifies, so no miss on it is "outside the rational group"
+        path = tmp_path / "tail.json"
+        path.write_text(json.dumps({"levels": [1, 2, 2], "matrices": [[[1], [1]], [[3, 1], [1, 1]]],
+                                    "tail": "repeat-last"}))
+        message = '{"error": {"type": "input", "message": "denominator of 1/%d not yet divisible at depth 16"}}\n'
+        assert run(capsys, "theta", str(path), "--x", "1/512") == (2, "", message % 512)
+        assert run(capsys, "theta", str(path), "--x", "1/512", "--depth", "20") == (
+            0, '{"stage": 18, "vector": [2744210, 1136689]}\n', "")
+        assert run(capsys, "theta", str(path), "--x", "1/5") == (2, "", message % 5)
+
     def test_bad_fraction(self, capsys):
         status, _, err = run(capsys, "theta", E55, "--x", "1/0")
         assert status == 2 and "bad rational" in json.loads(err)["error"]["message"]
@@ -484,6 +497,10 @@ class TestCatalog:
         assert status == 0 and entry["payload"]["tail"] == "repeat-last"
         assert entry["expected"]["mu"]["value"] == {"2": 1, "3": 1, "5": 1}
 
+    def test_lookups_share_no_expected_dict(self):
+        get_entry("findim-4-6").expected["mu"]["value"] = "x"
+        assert get_entry("findim-4-6").expected == {"mu": {"value": {"2": 1}, "exactness": "certified"}}
+
     def test_unknown(self, capsys):
         status, _, err = run(capsys, "catalog", "uhf-0")
         assert status == 2 and "unknown catalog entry" in json.loads(err)["error"]["message"]
@@ -515,6 +532,8 @@ class TestCatalog:
         ("uhf-٣", "'uhf-\\u0663'"),  # Arabic-Indic 3, which int() reads as 3
         ("uhf-007", "'uhf-007'"),  # leading zeros: a second name for uhf-7
         ("uhf-00", "'uhf-00'"),
+        # more digits than int() reads by default
+        pytest.param("uhf-" + "1" * 5000, "'uhf-%s'" % ("1" * 5000), id="uhf-5000-ones"),
     ])
     def test_unknown_names_exact_stderr(self, capsys, name, shown):
         expected = '{"error": {"type": "input", "message": "unknown catalog entry %s"}}\n' % shown

@@ -20,6 +20,7 @@ from brat.ordered_group import (
     unit_divisor,
 )
 from brat.supernatural import OMEGA, SupernaturalNumber
+from gen import ordered_groups
 from oracles import (
     brute_coprime_divisor_property,
     brute_max_supernatural_exponents,
@@ -439,3 +440,8 @@ def test_is_unperforated():
     assert is_unperforated(CyclicOrderedGroup((1,), 5))
     assert not is_unperforated(CyclicOrderedGroup((2, 3), 6))
     assert is_unperforated(sqrt2_group())
+
+
+@given(ordered_groups().filter(lambda g: isinstance(g, CyclicOrderedGroup)))
+def test_cyclic_unperforation_is_membership_of_1(group):
+    assert is_unperforated(group) == semigroup_member(group.generators, 1)

@@ -3,14 +3,18 @@ from the walk: each compares two computations that share no shortcut,
 so a change to the walk, its tail certificate or its searches that
 breaks one of them shows here."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
 from brat.bratteli import (
     CERTIFIED,
     BratteliDiagram,
+    DiagramError,
     k0_unit_divisor,
     maximal_uhf,
     odometer,
+    scale_unit_stage,
     telescope,
     tower_profile,
 )
@@ -79,3 +83,18 @@ def test_k0_unit_divisor_hits_exactly_when_n_divides_the_gcd(diagram, extra, n):
         stage = witness.stage
         assert [s for s in range(depth + 1) if profile.gcds[s] % n == 0][0] == stage
         assert tuple(n * x for x in witness.entries) == profile.heights[stage]
+
+
+@settings(max_examples=300)
+@given(diagrams(max_width=3, max_depth=3, max_entry=4).filter(lambda d: d.is_infinite),
+       st.integers(0, 4), st.integers(2, 200))
+def test_theta_outside_is_never_found_deeper(diagram, extra, denominator):
+    # "outside the rational group" is a proof, so no deeper stage may
+    # absorb the denominator; "not yet divisible" promises nothing
+    depth = _depth(diagram, extra)
+    try:
+        scale_unit_stage(diagram, Fraction(1, denominator), depth)
+    except DiagramError:
+        return
+    except ValueError:
+        assert k0_unit_divisor(diagram, denominator, depth + 30) is None

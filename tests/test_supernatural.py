@@ -212,10 +212,6 @@ class TestRationalGroup:
         assert n.contains(x + y)
         assert n.contains(-x)
 
-    @given(supernaturals(), supernaturals())
-    def test_q_subset_is_divisibility(self, a, b):
-        assert a.q_subset(b) == a.divides(b)
-
     @settings(max_examples=60)
     @given(
         finite_supernaturals(max_exponent=6, primes=SMALL_PRIMES[:5], max_size=3),
