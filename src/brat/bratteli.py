@@ -22,7 +22,8 @@ the tail matrix, so (n_{k+1}, r_{k+1}) is a function of n_k; thus
 r_{t+j} = r_{s+j} for all j >= 1, the primes of r_{s+1} ... r_t get
 exponent OMEGA, and no other prime occurs after t; otherwise results are
 "truncated-at-depth".  Levels past t are replayed, not pushed: O(1) per
-level for the ratios, O(width) for the heights.
+level for the ratios, O(width) for the heights.  Only `towers` and
+`premorphism` keep every n_k; the others hold O(depth) words and one n_k.
 
 Head levels are pushed row by row.  The tail matrix A (k x k) is pushed
 in a form the walk builds once, chosen from A by an operation count:
@@ -277,8 +278,9 @@ class TowerProfile(Record):
 
     @cached_property
     def heights(self) -> tuple[tuple[int, ...], ...]:
-        # an entry 1 of the primitive vector reuses the gcd object itself
-        return tuple(tuple(g if x == 1 else g * x for x in n) for g, n in zip(self.gcds, self.vectors))
+        # a factor 1 reuses the other factor's object: 1 * x is a new int
+        return tuple(n if g == 1 else tuple(g if x == 1 else g * x for x in n)
+                     for g, n in zip(self.gcds, self.vectors))
 
     @property
     def depth(self) -> int:
@@ -421,23 +423,34 @@ def _levels(diagram: BratteliDiagram, entries: Sequence[int], stage: int, depth:
     return _pushed(diagram, v, stage, depth)
 
 
-def tower_profile(diagram: BratteliDiagram, depth: int) -> TowerProfile:
-    """Ratios and primitive heights down to `depth`, from one walk that
-    stops pushing at the first revisit n_t = n_s inside the tail and
-    replays the levels of (s, t]; the period is t - s, or None."""
+def _walk(diagram: BratteliDiagram, depth: int, keep: bool = False):
+    """(r_1 ... r_depth, n_0 ... n_depth, period) from one walk that stops
+    pushing at the first revisit n_t = n_s in the tail and replays (s, t];
+    the period is t - s, or None, and each n_k is None unless `keep`.  A
+    match of hash(n_k) is checked against n_s, kept or pushed again from
+    (1,); a collision keeps both levels, so t is still the least."""
     ratios, vectors, seen, period = [], [], {}, None
-    walk = _levels(diagram, (1,), 0, depth)
     tail = diagram.given_depth - 1 if diagram.is_infinite else depth + 1
-    for k, (r, n) in enumerate(walk):
+    for k, (r, n) in enumerate(_levels(diagram, (1,), 0, depth)):
         ratios.append(r)
-        vectors.append(n)
-        s = seen.setdefault(n, k) if k >= tail else k
-        if s < k:
+        vectors.append(n if keep else None)
+        if k < tail:
+            continue
+        levels = seen.get(hash(n), ())
+        s = next((s for s in levels
+                  if n == (vectors[s] or next(islice(_pushed(diagram, (1,), 0, s), s, None))[1])), None)
+        if s is not None:
             ratios += islice(cycle(ratios[s + 1:]), depth - k)
             vectors += islice(cycle(vectors[s + 1:]), depth - k)
             period = k - s
             break
-    return TowerProfile(tuple(ratios[1:]), tuple(vectors), period)
+        seen[hash(n)] = levels + (k,)
+    return tuple(ratios[1:]), tuple(vectors), period
+
+
+def tower_profile(diagram: BratteliDiagram, depth: int) -> TowerProfile:
+    """Ratios, primitive heights and period down to `depth`, from one walk."""
+    return TowerProfile(*_walk(diagram, depth, keep=True))
 
 
 def maximal_uhf(diagram: BratteliDiagram, depth: int) -> MuResult:
@@ -452,17 +465,17 @@ def maximal_uhf(diagram: BratteliDiagram, depth: int) -> MuResult:
     truncation.  Each distinct ratio is factorized once; the gcd, the
     product of all the ratios, never is.
     """
-    profile = tower_profile(diagram, depth)
-    counts = Counter(profile.ratios)
+    ratios, _, period = _walk(diagram, depth)
+    counts = Counter(ratios)
     factors = {r: factorize(r) for r in counts}
     exps: dict[int, Exponent] = {}
     for r, count in counts.items():
         for p, e in factors[r].items():
             exps[p] = exps.get(p, 0) + e * count
-    if profile.period is not None:
-        for r in profile.ratios[-profile.period:]:
+    if period is not None:
+        for r in ratios[-period:]:
             exps.update(dict.fromkeys(factors[r], OMEGA))
-    exact = profile.period is not None or (not diagram.is_infinite and depth == diagram.given_depth)
+    exact = period is not None or (not diagram.is_infinite and depth == diagram.given_depth)
     return MuResult(SupernaturalNumber(exps), CERTIFIED if exact else TRUNCATED)
 
 
@@ -474,11 +487,11 @@ def odometer(diagram: BratteliDiagram, depth: int) -> BratteliDiagram:
     from the last emitted level onward, which a period of 1 of the
     normalized heights at `depth` establishes.
     """
-    profile = tower_profile(diagram, depth)
+    ratios, _, period = _walk(diagram, depth)
     return BratteliDiagram(
         levels=(1,) * (depth + 1),
-        matrices=tuple(((r,),) for r in profile.ratios),
-        tail=REPEAT_LAST if profile.period == 1 else None,
+        matrices=tuple(((r,),) for r in ratios),
+        tail=REPEAT_LAST if period == 1 else None,
     )
 
 

@@ -67,6 +67,33 @@ def _max_digits() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
+_BATCH_CHARS = 1 << 16  # the size a batch of rows aims at
+
+
+def _json_pieces(payload) -> list[str]:
+    """Strings that join to json.dumps(payload, default=str) + "\\n".  Each
+    top-level list of lists goes in batches of rows, sized from the last
+    batch to about _BATCH_CHARS and at most doubling, so no one string holds
+    a large answer.  An integer past the digit limit raises ValueError."""
+    encode = json.JSONEncoder(default=str).encode
+    if not isinstance(payload, dict) or not all(isinstance(key, str) for key in payload):
+        return [encode(payload), "\n"]
+    pieces = []
+    for key, value in payload.items():
+        pieces += [", " if pieces else "{", encode(key), ": "]
+        if not (isinstance(value, list) and value and all(isinstance(row, list) for row in value)):
+            pieces.append(encode(value))
+            continue
+        start, rows = 0, 1
+        while start < len(value):
+            text = encode(value[start:start + rows])
+            pieces += [", " if start else "[", text[1:-1]]
+            start += rows
+            rows = max(1, min(2 * rows, rows * _BATCH_CHARS // len(text)))
+        pieces.append("]")
+    return pieces + ["}" if pieces else "{}", "\n"]
+
+
 def _catalog_entry(name: str):
     try:
         return get_entry(name)
@@ -380,11 +407,11 @@ def main(argv=None) -> int:
         depth = _depth_for(subject, args.depth) if command.depth else None
         status, payload = command.handler(args, subject, depth)
         try:
-            text = payload if isinstance(payload, str) else json.dumps(payload, default=str) + "\n"
+            pieces = [payload] if isinstance(payload, str) else _json_pieces(payload)
         except ValueError:  # an integer, or a Fraction's term, past the digit limit
             return _emit_error("the answer holds an integer of more than %d digits, Python's "
                                "int-to-str limit (sys.get_int_max_str_digits)" % _max_digits(), "limit")
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return status
     except ValueError as exc:
         return _emit_error(str(exc))

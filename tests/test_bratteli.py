@@ -387,6 +387,45 @@ def clamped(diagram, depth):
     return depth if diagram.is_infinite else min(depth, diagram.given_depth)
 
 
+FIBONACCI = BratteliDiagram((1, 2, 2), (((1,), (1,)), ((1, 1), (1, 0))), REPEAT_LAST)
+THREE_ONE = BratteliDiagram((1, 2, 2), (((1,), (1,)), ((3, 1), (1, 1))), REPEAT_LAST)
+# level 1 is 2 * (1, ..., 1) and every row of the circulant sums to 11
+CIRCULANT = BratteliDiagram((1, 8, 8), (((2,),) * 8, tuple(
+    tuple((3, 1, 0, 2, 1, 0, 1, 3)[(j - i) % 8] for j in range(8)) for i in range(8))), REPEAT_LAST)
+
+
+class TestRevisitIndex:
+    """The walk indexes tail vectors by hash; a match is checked exactly,
+    against the kept vector or one pushed again from the root."""
+
+    @pytest.mark.parametrize("diagram, period, mu", [
+        (E55, 1, MuResult(N3W, CERTIFIED)),
+        (CIRCULANT, 1, MuResult(SupernaturalNumber({2: 1, 11: OMEGA}), CERTIFIED)),
+        (FIBONACCI, None, MuResult(SupernaturalNumber(), TRUNCATED)),
+        (THREE_ONE, None, MuResult(SupernaturalNumber({2: 15}), TRUNCATED)),
+        (TestTailPeriod.LATE, 3, MuResult(SupernaturalNumber({2: OMEGA, 3: 1, 5: OMEGA}), CERTIFIED)),
+    ], ids=["example-5.5", "circulant-8", "fibonacci", "3-1-1-1", "period-3"])
+    def test_colliding_hashes_change_no_answer(self, monkeypatch, diagram, period, mu):
+        depth = 30
+        profile = tower_profile(diagram, depth)
+        expected = (maximal_uhf(diagram, depth), odometer(diagram, depth), profile)
+        assert (expected[0], profile.period) == (mu, period)
+        hashed = []
+        # every tail vector collides with every earlier one
+        monkeypatch.setattr(brat.bratteli, "hash", lambda n: hashed.append(n) or 0, raising=False)
+        assert (maximal_uhf(diagram, depth), odometer(diagram, depth), tower_profile(diagram, depth)) == expected
+        assert hashed
+
+    @settings(max_examples=150)
+    @given(st.one_of(revisiting_diagrams(), diagrams(max_width=4, max_depth=4, max_entry=3)),
+           st.integers(0, 24))
+    def test_vector_free_walk_matches_the_profile(self, diagram, depth):
+        depth = clamped(diagram, depth)
+        profile = tower_profile(diagram, depth)
+        ratios, vectors, period = brat.bratteli._walk(diagram, depth)
+        assert (ratios, period) == (profile.ratios, profile.period) and set(vectors) == {None}
+
+
 class TestWalkAgainstOracles:
     """One walk per (diagram, depth), replayed past its first revisit,
     against oracles that push whole vectors one edge at a time."""

@@ -5,9 +5,10 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brat.bratteli
@@ -678,11 +679,11 @@ def test_propd_enumerates_divisors_of_a_large_unit(tmp_path):
         1, '{"holds": false, "counterexample": [3, 166666666667]}\n', "")
 
 
-def capped_brat(*argv):
-    """`python -m brat` in a child whose address space is capped at 512 MB."""
+def capped_brat(*argv, cap_mb=512):
+    """`python -m brat` in a child whose address space is capped at `cap_mb` MB."""
 
     def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+        resource.setrlimit(resource.RLIMIT_AS, (cap_mb << 20, cap_mb << 20))
 
     return subprocess.run([sys.executable, "-m", "brat", *argv],
                           capture_output=True, text=True, timeout=60, preexec_fn=cap)
@@ -757,6 +758,31 @@ def test_deep_constant_tail_answers_under_the_memory_cap():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{"embeds": "yes", "depth": 100000}\n', "")
 
 
+FIBONACCI = {"levels": [1, 2, 2], "matrices": [[[1], [1]], [[1, 1], [1, 0]]], "tail": "repeat-last"}
+THREE_ONE = {"levels": [1, 2, 2], "matrices": [[[1], [1]], [[3, 1], [1, 1]]], "tail": "repeat-last"}
+
+
+@pytest.mark.parametrize("data, argv, status, out", [
+    (FIBONACCI, ("mu",), 0, '{"mu": {}, "exactness": "truncated-at-depth"}\n'),
+    (FIBONACCI, ("embed", "--uhf", '{"2":1}'), 1, '{"embeds": "no-within-depth", "depth": 30000}\n'),
+    (FIBONACCI, ("odometer",), 0, json.dumps(
+        {"levels": [1] * 30001, "matrices": [[[1]]] * 30000, "tail": "none"}) + "\n"),
+    (THREE_ONE, ("mu",), 0, '{"mu": {"2": 15000}, "exactness": "truncated-at-depth"}\n'),
+    (THREE_ONE, ("embed", "--uhf", '{"2":1}'), 0, '{"embeds": "yes", "depth": 30000}\n'),
+    (THREE_ONE, ("odometer",), 0, json.dumps(
+        {"levels": [1] * 30001, "matrices": [[[n % 2 + 1]] for n in range(30000)], "tail": "none"}) + "\n"),
+], ids=["fibonacci-mu", "fibonacci-embed", "fibonacci-odometer", "3-1-1-1-mu", "3-1-1-1-embed",
+        "3-1-1-1-odometer"])
+def test_deep_tail_that_never_revisits_keeps_no_vectors(tmp_path, data, argv, status, out):
+    # the primitive vectors grow by a constant number of bits per level:
+    # kept, 30000 levels take 100-170 MB; mu, embed and odometer keep the
+    # ratios, a hash per level and the current vector
+    path = tmp_path / "tail.json"
+    path.write_text(json.dumps(data))
+    proc = capped_brat(argv[0], str(path), "--depth", "30000", *argv[1:], cap_mb=96)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, out, "")
+
+
 @pytest.mark.parametrize("argv", [
     ("k0-divides", E55, "--n", "2"),
     ("divide", E55, "--stage", "1", "--vector", "1,1", "--m", "2"),
@@ -774,17 +800,17 @@ def test_deep_first_hit_miss_multiplies_no_content(argv):
 
 
 def counted_walks(monkeypatch):
-    """Count the walks down the diagram, one per `tower_profile` call,
-    wherever the call is made from; returns the list of walks made."""
+    """Count the walks down the diagram, one per `_walk` call, which
+    `tower_profile`, `maximal_uhf` and `odometer` all make; returns the
+    list of walks made."""
     walks = []
-    walk = brat.bratteli.tower_profile
+    walk = brat.bratteli._walk
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         walks.append(args)
-        return walk(*args)
+        return walk(*args, **kwargs)
 
-    monkeypatch.setattr(brat.bratteli, "tower_profile", counted)
-    monkeypatch.setattr(brat.cli, "tower_profile", counted)
+    monkeypatch.setattr(brat.bratteli, "_walk", counted)
     return walks
 
 
@@ -824,8 +850,7 @@ def circulant_tail(tmp_path):
     (lambda tmp_path: str(tmp_path / "fibonacci.json"), [10000]),
 ], ids=["example-5.5", "circulant-8", "fibonacci"])
 def test_walk_replays_the_tail_after_its_first_revisit(monkeypatch, capsys, tmp_path, command, source, pushes):
-    (tmp_path / "fibonacci.json").write_text(json.dumps(
-        {"levels": [1, 2, 2], "matrices": [[[1], [1]], [[1, 1], [1, 0]]], "tail": "repeat-last"}))
+    (tmp_path / "fibonacci.json").write_text(json.dumps(FIBONACCI))
     count = [0]
     mat_vec = brat.bratteli._mat_vec
 
@@ -845,6 +870,24 @@ def power_tower(tmp_path, first, second):
     path = tmp_path / "powers.json"
     path.write_text(json.dumps({"levels": [1, 1, 1], "matrices": [[[10**first]], [[10**second]]]}))
     return str(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**80, 10**80) | st.fractions()
+    | st.floats() | st.text() | st.just(export_dot(get_entry("example-5.5").payload, 3)),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=3),
+    max_leaves=16)
+ROWS = st.lists(st.lists(JSON_VALUES, max_size=3) | st.lists(st.lists(JSON_VALUES, max_size=2), max_size=2),
+                max_size=12)
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(st.text() | st.integers(), JSON_VALUES | ROWS, max_size=4) | JSON_VALUES,
+       st.sampled_from([1, 16, 1 << 16]))
+def test_json_pieces_join_to_the_one_shot_encoding(payload, batch_chars):
+    with mock.patch.object(brat.cli, "_BATCH_CHARS", batch_chars):
+        pieces = brat.cli._json_pieces(payload)
+    assert "".join(pieces) == json.dumps(payload, default=str) + "\n"
 
 
 def test_answer_at_the_digit_limit_prints(capsys, tmp_path):
@@ -872,6 +915,18 @@ def test_no_digit_limit_prints_past_4300_digits(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == ('{"depth": 2, "heights": [[1], [%s], [%s]], "gcds": [1, %s, %s], '
                            '"ratios": [%s, %s]}\n' % (power, top, power, top, power, power))
+
+
+def test_heights_past_the_digit_limit_are_refused_when_every_gcd_is_one(capsys, tmp_path):
+    # h_3 = (10**4400 + 10**2200 + 1, 10**2200 + 1) has coprime entries, so
+    # only the encoding of the heights meets the limit, before any write
+    path = tmp_path / "coprime.json"
+    path.write_text(json.dumps({"levels": [1, 2, 2], "matrices": [[[1], [1]], [[10**2200, 1], [1, 0]]],
+                                "tail": "repeat-last"}))
+    status, out, err = run(capsys, "towers", str(path), "--depth", "3")
+    assert (status, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "limit"
+    assert run(capsys, "towers", str(path), "--depth", "2")[0] == 0
 
 
 def test_deep_towers_are_refused_at_the_digit_limit_under_the_memory_cap():
