@@ -265,7 +265,8 @@ class TowerProfile(Record):
     ratios[n-1] = r_n = gcds[n] / gcds[n-1] for n >= 1; vectors[n] is the
     primitive height n_n = heights[n] / gcds[n]; period is t - s for the
     first revisit n_t = n_s inside the tail, or None.  gcds and heights
-    are derived from these on first read.
+    are derived from these on first read; a walk that keeps no vectors
+    has vectors == heights == ().
     """
 
     ratios: tuple[int, ...]
@@ -278,6 +279,8 @@ class TowerProfile(Record):
 
     @cached_property
     def heights(self) -> tuple[tuple[int, ...], ...]:
+        if not self.vectors:  # a walk that kept none reads no gcds
+            return ()
         # a factor 1 reuses the other factor's object: 1 * x is a new int
         return tuple(n if g == 1 else tuple(g if x == 1 else g * x for x in n)
                      for g, n in zip(self.gcds, self.vectors))
@@ -423,34 +426,31 @@ def _levels(diagram: BratteliDiagram, entries: Sequence[int], stage: int, depth:
     return _pushed(diagram, v, stage, depth)
 
 
-def _walk(diagram: BratteliDiagram, depth: int, keep: bool = False):
-    """(r_1 ... r_depth, n_0 ... n_depth, period) from one walk that stops
-    pushing at the first revisit n_t = n_s in the tail and replays (s, t];
-    the period is t - s, or None, and each n_k is None unless `keep`.  A
-    match of hash(n_k) is checked against n_s, kept or pushed again from
-    (1,); a collision keeps both levels, so t is still the least."""
+def tower_profile(diagram: BratteliDiagram, depth: int, keep: bool = True) -> TowerProfile:
+    """Ratios, primitive heights and period down to `depth`, from one walk
+    that stops pushing at the first revisit n_t = n_s in the tail and
+    replays (s, t]; the period is t - s, or None.  The vectors are kept
+    only if `keep`, else `vectors` is ().  A match of hash(n_t) is checked
+    against n_s, kept or pushed again from (1,); a collision keeps both
+    levels, so t is still the least."""
     ratios, vectors, seen, period = [], [], {}, None
     tail = diagram.given_depth - 1 if diagram.is_infinite else depth + 1
     for k, (r, n) in enumerate(_levels(diagram, (1,), 0, depth)):
         ratios.append(r)
-        vectors.append(n if keep else None)
+        if keep:
+            vectors.append(n)
         if k < tail:
             continue
-        levels = seen.get(hash(n), ())
-        s = next((s for s in levels
-                  if n == (vectors[s] or next(islice(_pushed(diagram, (1,), 0, s), s, None))[1])), None)
+        levels = seen.get(h := hash(n), ())
+        s = next((s for s in levels if n == (vectors[s] if keep else
+                                             next(islice(_pushed(diagram, (1,), 0, s), s, None))[1])), None)
         if s is not None:
             ratios += islice(cycle(ratios[s + 1:]), depth - k)
             vectors += islice(cycle(vectors[s + 1:]), depth - k)
             period = k - s
             break
-        seen[hash(n)] = levels + (k,)
-    return tuple(ratios[1:]), tuple(vectors), period
-
-
-def tower_profile(diagram: BratteliDiagram, depth: int) -> TowerProfile:
-    """Ratios, primitive heights and period down to `depth`, from one walk."""
-    return TowerProfile(*_walk(diagram, depth, keep=True))
+        seen[h] = levels + (k,)
+    return TowerProfile(tuple(ratios[1:]), tuple(vectors), period)
 
 
 def maximal_uhf(diagram: BratteliDiagram, depth: int) -> MuResult:
@@ -465,17 +465,17 @@ def maximal_uhf(diagram: BratteliDiagram, depth: int) -> MuResult:
     truncation.  Each distinct ratio is factorized once; the gcd, the
     product of all the ratios, never is.
     """
-    ratios, _, period = _walk(diagram, depth)
-    counts = Counter(ratios)
+    profile = tower_profile(diagram, depth, keep=False)
+    counts = Counter(profile.ratios)
     factors = {r: factorize(r) for r in counts}
     exps: dict[int, Exponent] = {}
     for r, count in counts.items():
         for p, e in factors[r].items():
             exps[p] = exps.get(p, 0) + e * count
-    if period is not None:
-        for r in ratios[-period:]:
+    if profile.period is not None:
+        for r in profile.ratios[-profile.period:]:
             exps.update(dict.fromkeys(factors[r], OMEGA))
-    exact = period is not None or (not diagram.is_infinite and depth == diagram.given_depth)
+    exact = profile.period is not None or (not diagram.is_infinite and depth == diagram.given_depth)
     return MuResult(SupernaturalNumber(exps), CERTIFIED if exact else TRUNCATED)
 
 
@@ -487,11 +487,11 @@ def odometer(diagram: BratteliDiagram, depth: int) -> BratteliDiagram:
     from the last emitted level onward, which a period of 1 of the
     normalized heights at `depth` establishes.
     """
-    ratios, _, period = _walk(diagram, depth)
+    profile = tower_profile(diagram, depth, keep=False)
     return BratteliDiagram(
         levels=(1,) * (depth + 1),
-        matrices=tuple(((r,),) for r in ratios),
-        tail=REPEAT_LAST if period == 1 else None,
+        matrices=tuple(((r,),) for r in profile.ratios),
+        tail=REPEAT_LAST if profile.period == 1 else None,
     )
 
 

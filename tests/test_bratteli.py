@@ -422,8 +422,8 @@ class TestRevisitIndex:
     def test_vector_free_walk_matches_the_profile(self, diagram, depth):
         depth = clamped(diagram, depth)
         profile = tower_profile(diagram, depth)
-        ratios, vectors, period = brat.bratteli._walk(diagram, depth)
-        assert (ratios, period) == (profile.ratios, profile.period) and set(vectors) == {None}
+        walked = tower_profile(diagram, depth, keep=False)
+        assert (walked.ratios, walked.period, walked.vectors) == (profile.ratios, profile.period, ())
 
 
 class TestWalkAgainstOracles:

@@ -800,17 +800,18 @@ def test_deep_first_hit_miss_multiplies_no_content(argv):
 
 
 def counted_walks(monkeypatch):
-    """Count the walks down the diagram, one per `_walk` call, which
-    `tower_profile`, `maximal_uhf` and `odometer` all make; returns the
-    list of walks made."""
+    """Count the walks down the diagram, one per `tower_profile` call,
+    wherever the call is made from (`maximal_uhf` and `odometer` make one
+    that keeps no vectors); returns the list of walks made."""
     walks = []
-    walk = brat.bratteli._walk
+    walk = brat.bratteli.tower_profile
 
     def counted(*args, **kwargs):
         walks.append(args)
         return walk(*args, **kwargs)
 
-    monkeypatch.setattr(brat.bratteli, "_walk", counted)
+    monkeypatch.setattr(brat.bratteli, "tower_profile", counted)
+    monkeypatch.setattr(brat.cli, "tower_profile", counted)
     return walks
 
 
