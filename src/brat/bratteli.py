@@ -21,9 +21,11 @@ n_t = n_s, L = given_depth - 1 <= s < t.  From L on each step applies
 the tail matrix, so (n_{k+1}, r_{k+1}) is a function of n_k; thus
 r_{t+j} = r_{s+j} for all j >= 1, the primes of r_{s+1} ... r_t get
 exponent OMEGA, and no other prime occurs after t; otherwise results are
-"truncated-at-depth".  Levels past t are replayed, not pushed: O(1) per
+"truncated-at-depth".  A hash match n_t = n_s is confirmed by pushing n_s
+again from the root.  Levels past t are replayed, not pushed: O(1) per
 level for the ratios, O(width) for the heights.  Only `towers` and
 `premorphism` keep every n_k; the others hold O(depth) words and one n_k.
+The odometer and the canonical premorphism are two readings of one walk.
 
 Head levels are pushed row by row.  The tail matrix A (k x k) is pushed
 in a form the walk builds once, chosen from A by an operation count:
@@ -289,6 +291,17 @@ class TowerProfile(Record):
     def depth(self) -> int:
         return len(self.ratios)
 
+    def odometer(self) -> BratteliDiagram:
+        """The single-vertex diagram of the ratios.  It keeps a repeating tail
+        only when the ratio is provably constant from the last level on,
+        which a period of 1 of the normalized heights establishes."""
+        return BratteliDiagram((1,) * (self.depth + 1), tuple(((r,),) for r in self.ratios),
+                               REPEAT_LAST if self.period == 1 else None)
+
+    def premorphism(self) -> "Premorphism":
+        """The identity level map with column n_n at level n; ValueError if no vectors were kept."""
+        return Premorphism(tuple(range(self.depth + 1)), tuple(tuple((x,) for x in n) for n in self.vectors))
+
 
 class DimensionVector(Record):
     """An integer vector attached to a diagram level."""
@@ -431,8 +444,8 @@ def tower_profile(diagram: BratteliDiagram, depth: int, keep: bool = True) -> To
     that stops pushing at the first revisit n_t = n_s in the tail and
     replays (s, t]; the period is t - s, or None.  The vectors are kept
     only if `keep`, else `vectors` is ().  A match of hash(n_t) is checked
-    against n_s, kept or pushed again from (1,); a collision keeps both
-    levels, so t is still the least."""
+    against n_s pushed again from (1,), kept or not; a collision keeps
+    both levels, so t is still the least."""
     ratios, vectors, seen, period = [], [], {}, None
     tail = diagram.given_depth - 1 if diagram.is_infinite else depth + 1
     for k, (r, n) in enumerate(_levels(diagram, (1,), 0, depth)):
@@ -442,8 +455,7 @@ def tower_profile(diagram: BratteliDiagram, depth: int, keep: bool = True) -> To
         if k < tail:
             continue
         levels = seen.get(h := hash(n), ())
-        s = next((s for s in levels if n == (vectors[s] if keep else
-                                             next(islice(_pushed(diagram, (1,), 0, s), s, None))[1])), None)
+        s = next((s for s in levels if n == next(islice(_pushed(diagram, (1,), 0, s), s, None))[1]), None)
         if s is not None:
             ratios += islice(cycle(ratios[s + 1:]), depth - k)
             vectors += islice(cycle(vectors[s + 1:]), depth - k)
@@ -480,19 +492,9 @@ def maximal_uhf(diagram: BratteliDiagram, depth: int) -> MuResult:
 
 
 def odometer(diagram: BratteliDiagram, depth: int) -> BratteliDiagram:
-    """The single-vertex diagram of the ratios r_1 ... r_depth.
-
-    It describes the maximal UHF subalgebra's own tower.  The result
-    keeps a repeating tail only when the ratio is provably constant
-    from the last emitted level onward, which a period of 1 of the
-    normalized heights at `depth` establishes.
-    """
-    profile = tower_profile(diagram, depth, keep=False)
-    return BratteliDiagram(
-        levels=(1,) * (depth + 1),
-        matrices=tuple(((r,),) for r in profile.ratios),
-        tail=REPEAT_LAST if profile.period == 1 else None,
-    )
+    """The single-vertex diagram of the ratios r_1 ... r_depth, the maximal
+    UHF subalgebra's own tower, read off a walk that keeps no vectors."""
+    return tower_profile(diagram, depth, keep=False).odometer()
 
 
 def uhf_diagram(number: SupernaturalNumber) -> BratteliDiagram:
@@ -523,9 +525,7 @@ def canonical_premorphism(diagram: BratteliDiagram, depth: int) -> Premorphism:
     the column at level n+1 by r_{n+1} equals M_{n+1} times the column
     at level n.
     """
-    vectors = tower_profile(diagram, depth).vectors
-    matrices = tuple(tuple((x,) for x in n) for n in vectors)
-    return Premorphism(tuple(range(depth + 1)), matrices)
+    return tower_profile(diagram, depth).premorphism()
 
 
 def _carried(diagram: BratteliDiagram, a: int, b: int, m: Matrix) -> Matrix:

@@ -20,7 +20,6 @@ from typing import Callable, NamedTuple, Optional
 
 from .bratteli import (
     BratteliDiagram,
-    canonical_premorphism,
     divide_element,
     k0_unit_divisor,
     maximal_uhf,
@@ -216,10 +215,10 @@ def _mu(args, diagram, depth):
 
 
 def _premorphism(args, diagram, depth):
-    premorphism = canonical_premorphism(diagram, depth)
+    profile = tower_profile(diagram, depth)
     if not args.verify:
-        return 0, premorphism.to_data()
-    report = verify_premorphism(premorphism, odometer(diagram, depth), diagram)
+        return 0, profile.premorphism().to_data()
+    report = verify_premorphism(profile.premorphism(), profile.odometer(), diagram)
     if report.ok:
         return 0, {"verified": True, "depth": depth}
     return 1, {"verified": False, "level": report.level, "kind": report.kind}

@@ -34,7 +34,7 @@ from .primes import factorize, valuation
 from .supernatural import Exponent, SupernaturalNumber
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)  # one generator tuple per group
 def _residue_minima(gens: tuple[int, ...]) -> tuple[int, ...]:
     # smallest member of the semigroup in each residue class mod a = gens[0],
     # by Böcker and Lipták's round robin (Algorithmica 48, 2007): generator b
@@ -260,16 +260,14 @@ def max_supernatural(group: OrderedGroup) -> Optional[SupernaturalNumber]:
     """The maximum supernatural number all of whose finite divisors
     divide the unit, or None when coprime divisors fail to compose.
 
-    Exponent of p = sup of k with p**k dividing the unit.  Cyclic
-    groups scan prime powers of the unit directly.  Quadratic groups
-    admit a closed form: with unit q + z*sqrt(d), the p-exponent is
-    capped by the valuation of z when z is nonzero, and is infinite
-    exactly when z = 0 and the rational group already has an infinite
-    p-exponent.
+    Exponent of p = sup of k with p**k dividing the unit.  Cyclic groups
+    scan prime powers of the unit; unit divisors are closed under
+    divisors, so coprime ones compose exactly when N, the product of these
+    powers, divides the unit.  Quadratic groups always do, in closed form:
+    for unit q + z*sqrt(d), the p-exponent is capped by the valuation of z
+    when z is nonzero, and is infinite exactly when z = 0 and the rational
+    group already has an infinite p-exponent.
     """
-    report = coprime_divisor_property(group)
-    if not report.holds:
-        return None
     exps: dict[int, Exponent] = {}
     if isinstance(group, CyclicOrderedGroup):
         for p, cap in factorize(group.unit).items():
@@ -278,7 +276,8 @@ def max_supernatural(group: OrderedGroup) -> Optional[SupernaturalNumber]:
                 k += 1
             if k:
                 exps[p] = k
-        return SupernaturalNumber(exps)
+        number = SupernaturalNumber(exps)
+        return number if unit_divisor(group, number.to_int()) is not None else None
     q, z = group.unit.q, group.unit.z
     h = group.h_number
     if z == 0:

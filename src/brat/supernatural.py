@@ -164,8 +164,9 @@ class SupernaturalNumber(Record):
             raise ValueError("supernatural number must be an object, got %r" % (data,))
         exps: dict[int, Exponent] = {}
         for key, raw in data.items():
-            try:
-                p = int(str(key), 10)
+            try:  # one spelling per prime: ASCII digits, no leading zero
+                if str(p := int(str(key), 10)) != str(key):
+                    raise ValueError
             except ValueError:
                 raise ValueError("bad prime key %r" % (key,)) from None
             if raw == "inf":

@@ -395,8 +395,9 @@ CIRCULANT = BratteliDiagram((1, 8, 8), (((2,),) * 8, tuple(
 
 
 class TestRevisitIndex:
-    """The walk indexes tail vectors by hash; a match is checked exactly,
-    against the kept vector or one pushed again from the root."""
+    """The walk indexes tail vectors by hash; every match is checked
+    exactly, against the vector pushed again from the root, whether the
+    walk keeps its vectors or not."""
 
     @pytest.mark.parametrize("diagram, period, mu", [
         (E55, 1, MuResult(N3W, CERTIFIED)),
@@ -408,12 +409,14 @@ class TestRevisitIndex:
     def test_colliding_hashes_change_no_answer(self, monkeypatch, diagram, period, mu):
         depth = 30
         profile = tower_profile(diagram, depth)
-        expected = (maximal_uhf(diagram, depth), odometer(diagram, depth), profile)
+        expected = (maximal_uhf(diagram, depth), odometer(diagram, depth), profile,
+                    canonical_premorphism(diagram, depth))
         assert (expected[0], profile.period) == (mu, period)
         hashed = []
         # every tail vector collides with every earlier one
         monkeypatch.setattr(brat.bratteli, "hash", lambda n: hashed.append(n) or 0, raising=False)
-        assert (maximal_uhf(diagram, depth), odometer(diagram, depth), tower_profile(diagram, depth)) == expected
+        assert (maximal_uhf(diagram, depth), odometer(diagram, depth), tower_profile(diagram, depth),
+                canonical_premorphism(diagram, depth)) == expected
         assert hashed
 
     @settings(max_examples=150)
@@ -424,6 +427,12 @@ class TestRevisitIndex:
         profile = tower_profile(diagram, depth)
         walked = tower_profile(diagram, depth, keep=False)
         assert (walked.ratios, walked.period, walked.vectors) == (profile.ratios, profile.period, ())
+        # both readings of either walk are the public answers; a walk that
+        # kept no vectors refuses a premorphism rather than give part of one
+        assert walked.odometer() == profile.odometer() == odometer(diagram, depth)
+        assert profile.premorphism() == canonical_premorphism(diagram, depth)
+        with pytest.raises(ValueError):
+            walked.premorphism()
 
 
 class TestWalkAgainstOracles:

@@ -415,6 +415,27 @@ class TestSn:
         status, _, err = run(capsys, "sn", "mul", "{oops}")
         assert status == 2 and "bad supernatural number" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("operand", [
+        '{"\u0663": 1}', '{" 3": 1}', '{"+3": 1}', '{"03": 1}', '{"0_3": 1}', '{"3 ": 1}',
+        # two spellings of one prime would overwrite each other
+        '{"3": 5, "03": 1}', '{"3": 1, "03": 2}',
+        '{"%s": 1}' % ("1" * 5000),
+    ], ids=["arabic-indic", "space", "plus", "leading-zero", "underscore", "trailing-space",
+            "alias-5-1", "alias-1-2", "past-the-digit-limit"])
+    @pytest.mark.parametrize("command", ["divides", "mul"])
+    def test_only_canonical_prime_keys(self, capsys, command, operand):
+        status, out, err = run(capsys, "sn", command, operand, '{"3": 1}')
+        error = json.loads(err)["error"]
+        assert (status, out, error["type"]) == (2, "", "input")
+        assert "bad prime key" in error["message"] and "Exceeds" not in error["message"]
+
+    def test_canonical_prime_keys(self, capsys):
+        big = "10000000000000000051"  # a 20-digit prime
+        status, out, _ = run(capsys, "sn", "mul", '{"3": 1, "%s": 2}' % big, '{"3": 2}')
+        assert (status, out) == (0, '{"product": {"3": 3, "%s": 2}}\n' % big)
+        status, out, _ = run(capsys, "sn", "divides", '{"3": 5}', '{"3": 1}')
+        assert (status, out) == (1, '{"divides": false}\n')
+
 
 class TestGroup:
     def test_propd_holds(self, capsys):
@@ -817,14 +838,12 @@ def counted_walks(monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ("validate", E55), ("towers", E55), ("odometer", E55), ("odometer", E55, "--format", "dot"),
-    ("mu", E55), ("premorphism", E55), ("embed", E55, "--uhf", '{"2": 1}'),
+    ("mu", E55), ("premorphism", E55), ("premorphism", E55, "--verify"), ("embed", E55, "--uhf", '{"2": 1}'),
     ("k0-divides", E55, "--n", "9"), ("rsub", E55, "--stage", "1", "--vector", "2,1"),
     ("theta", E55, "--x", "1/3"), ("theta", E55, "--x", "1/5"),
     ("divide", E55, "--stage", "1", "--vector", "3,6", "--m", "9"), ("telescope", E55, "--cuts", "1,3"),
 ], ids=" ".join)
 def test_each_diagram_command_walks_at_most_once(monkeypatch, capsys, argv):
-    # premorphism --verify walks twice: once for the premorphism and once
-    # for the odometer it is checked against
     walks = counted_walks(monkeypatch)
     status, _, err = run(capsys, *argv)
     # 1/5 is refused on the error path, which reads the invariant

@@ -135,6 +135,18 @@ class TestCyclicDivisibility:
         group = CyclicOrderedGroup(gens, unit)
         assert unit_divisor(group, n) == brute_unit_divisor(group, n)
 
+    def test_residue_table_cache_holds_one_group(self):
+        _residue_minima.cache_clear()
+        for gens in ((7, 9, 11), (8, 9, 13)):
+            before = _residue_minima.cache_info().misses
+            group = CyclicOrderedGroup(gens, 7 * 9 * 11 * 13)
+            for n in (1, 3, 7, 9, 11, 13, 21, 77):
+                unit_divisor(group, n)
+            max_supernatural(group)
+            # one table per group, however often its divisors are asked
+            assert _residue_minima.cache_info().misses == before + 1
+        assert _residue_minima.cache_info().currsize == 1
+
     def test_witness_property(self):
         group = CyclicOrderedGroup((2, 3), 36)
         for n in range(1, 40):
@@ -213,6 +225,16 @@ class TestMaxSupernatural:
         assert number is not None and number.to_data() == {
             str(p): e for p, e in expected.items()
         }
+
+    @settings(max_examples=150)
+    @given(st.sets(st.integers(1, 40), min_size=1, max_size=4), st.integers(1, 3000))
+    def test_exists_exactly_when_coprime_divisors_compose(self, gens, unit):
+        # max_supernatural checks only that the product of its prime powers
+        # divides the unit; the integer scan checks every coprime pair
+        gens = tuple(sorted(gens))
+        assume(semigroup_member(gens, unit))
+        group = CyclicOrderedGroup(gens, unit)
+        assert (max_supernatural(group) is None) == (not reference_coprime_divisor_property(group).holds)
 
     def test_maximality_on_full_cone(self):
         group = CyclicOrderedGroup((1,), 360)
