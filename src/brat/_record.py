@@ -2,7 +2,13 @@
 fields as annotations, in order, and a class attribute of the same name
 is that field's default.  `__post_init__`, if defined, validates and
 normalizes fields with `object.__setattr__`, and `as_int` is the check
-its integer fields share."""
+its integer fields share.  `clipped` keeps an echoed input short."""
+
+
+def clipped(value, limit: int = 40) -> str:
+    """repr(value), cut to its first `limit` characters plus its length when longer."""
+    text = repr(value)
+    return text if len(text) <= limit else "%s... (%d characters)" % (text[:limit], len(text))
 
 
 def as_int(value, message: str) -> int:

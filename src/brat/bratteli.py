@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import accumulate, chain, cycle, islice, repeat
 from operator import add, lshift, mul, neg, or_
@@ -596,6 +595,7 @@ def rational_subgroup_witness(
     at the first hit, or None if no stage up to `depth` works; absence
     within depth is not a certificate.
     """
+    from fractions import Fraction
     pushed = _levels(diagram, entries, stage, depth)
     units = _pushed(diagram, (1,), 0, depth)
     # the contents are multiplied only at the hit
@@ -619,6 +619,7 @@ def scale_unit_stage(diagram: BratteliDiagram, x: Fraction, depth: int) -> Dimen
     (ValueError) only when `uhf_embeds` answers "no-certified", and "not
     yet divisible at depth" (DiagramError) otherwise.
     """
+    from fractions import Fraction
     x = Fraction(x)
     witness = k0_unit_divisor(diagram, x.denominator, depth)
     if witness is not None:

@@ -20,7 +20,8 @@ Each fixed entry is stored as data: its payload in the JSON format the
 README documents (a diagram, or a group tagged by "kind"), its note and
 its expected outputs.  `get_entry` builds the payload at lookup time
 with the loaders that read files, `BratteliDiagram.from_data` and
-`group_from_data`, so importing this module builds no payload.
+`group_from_data`, so importing this module builds no payload and loads
+neither layer.
 
 The name uhf-<n> is accepted for every positive integer n written in
 ASCII digits without leading zeros, as many as int() reads.  It builds
@@ -32,20 +33,15 @@ the certified invariant is then exactly the factorization of n.
 from __future__ import annotations
 
 import json
-from typing import Union
 
 from ._record import Record
-from .bratteli import BratteliDiagram, uhf_diagram
-from .ordered_group import OrderedGroup, group_from_data
 from .supernatural import SupernaturalNumber
-
-CatalogPayload = Union[BratteliDiagram, OrderedGroup]
 
 
 class CatalogEntry(Record):
     name: str
     kind: str  # "diagram" or "group"
-    payload: CatalogPayload
+    payload: BratteliDiagram | OrderedGroup
     note: str
     expected: dict = None
 
@@ -112,8 +108,10 @@ def get_entry(name: str) -> CatalogEntry:
         entry = _FIXED_ENTRIES[name]
         data = entry["payload"]
         if "kind" in data:  # the group format is tagged, the diagram format is not
+            from .ordered_group import group_from_data
             kind, payload = "group", group_from_data(data)
         else:
+            from .bratteli import BratteliDiagram
             kind, payload = "diagram", BratteliDiagram.from_data({**data, "name": name})
         # a JSON round trip copies `expected`, so no caller can change the table
         return CatalogEntry(name, kind, payload, entry["note"], json.loads(json.dumps(entry["expected"])))
@@ -124,6 +122,7 @@ def get_entry(name: str) -> CatalogEntry:
         except ValueError:  # more digits than Python's int-to-str limit
             n = 0
         if n >= 1 and str(n) == suffix:
+            from .bratteli import BratteliDiagram, uhf_diagram
             number = SupernaturalNumber.from_int(n)
             diagram = uhf_diagram(number)
             return CatalogEntry(

@@ -11,37 +11,13 @@ truncation says so inline.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
-from fractions import Fraction
+import types
 from typing import Callable, NamedTuple, Optional
 
-from .bratteli import (
-    BratteliDiagram,
-    divide_element,
-    k0_unit_divisor,
-    maximal_uhf,
-    odometer,
-    rational_subgroup_witness,
-    scale_unit_stage,
-    telescope,
-    tower_profile,
-    uhf_embeds,
-    verify_premorphism,
-)
-from .catalog import catalog_names, get_entry
-from .dot import export_dot
-from .ordered_group import (
-    CyclicOrderedGroup,
-    QuadraticElement,
-    coprime_divisor_property,
-    group_from_data,
-    max_supernatural,
-    rational_subgroup_member,
-    unit_divisor,
-)
+from ._record import clipped
 from .supernatural import SupernaturalNumber
 
 DEFAULT_DEPTH = 16
@@ -49,11 +25,6 @@ DEFAULT_DEPTH = 16
 
 class InputError(ValueError):
     """Anything that makes the request unanswerable: exit status 2."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise InputError(message)
 
 
 def _emit_error(message: str, kind: str = "input") -> int:
@@ -94,6 +65,7 @@ def _json_pieces(payload) -> list[str]:
 
 
 def _catalog_entry(name: str):
+    from .catalog import get_entry
     try:
         return get_entry(name)
     except KeyError as exc:
@@ -116,7 +88,9 @@ def _load(source: str, want: str):
     except json.JSONDecodeError as exc:
         raise InputError("bad JSON in %r: %s" % (source, exc)) from None
     if want == "diagram":
+        from .bratteli import BratteliDiagram
         return BratteliDiagram.from_data(data)
+    from .ordered_group import group_from_data
     return group_from_data(data)
 
 
@@ -132,7 +106,7 @@ def _parse_supernatural(text: str) -> SupernaturalNumber:
     try:
         return SupernaturalNumber.from_data(json.loads(text))
     except (json.JSONDecodeError, ValueError) as exc:
-        raise InputError("bad supernatural number %r: %s" % (text, exc)) from None
+        raise InputError("bad supernatural number %s: %s" % (clipped(text), exc)) from None
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
@@ -143,6 +117,7 @@ def _parse_vector(text: str) -> tuple[int, ...]:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    from fractions import Fraction
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -150,6 +125,7 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _parse_group_element(group, text: str):
+    from .ordered_group import CyclicOrderedGroup, QuadraticElement
     if isinstance(group, CyclicOrderedGroup):
         try:
             return int(text)
@@ -158,6 +134,7 @@ def _parse_group_element(group, text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise InputError("quadratic elements look like 'q,z', got %r" % (text,))
+    from fractions import Fraction
     try:
         return QuadraticElement(Fraction(parts[0]), int(parts[1]))
     except (ValueError, ZeroDivisionError) as exc:
@@ -188,6 +165,7 @@ def _validate(args, diagram, depth):
 
 
 def _towers(args, diagram, depth):
+    from .bratteli import tower_profile
     profile = tower_profile(diagram, depth)
     # main refuses the first gcd past the digit limit: hand it that, build no larger one
     gcd, digits = 1, _max_digits()
@@ -205,16 +183,20 @@ def _towers(args, diagram, depth):
 
 
 def _odometer(args, diagram, depth):
+    from .bratteli import odometer
+    from .dot import export_dot
     reduced = odometer(diagram, depth)
     return 0, export_dot(reduced, depth) if args.format == "dot" else reduced.to_data()
 
 
 def _mu(args, diagram, depth):
+    from .bratteli import maximal_uhf
     result = maximal_uhf(diagram, depth)
     return 0, {"mu": result.value.to_data(), "exactness": result.exactness}
 
 
 def _premorphism(args, diagram, depth):
+    from .bratteli import tower_profile, verify_premorphism
     profile = tower_profile(diagram, depth)
     if not args.verify:
         return 0, profile.premorphism().to_data()
@@ -225,17 +207,20 @@ def _premorphism(args, diagram, depth):
 
 
 def _embed(args, diagram, depth):
+    from .bratteli import uhf_embeds
     answer = uhf_embeds(_parse_supernatural(args.uhf), diagram, depth)
     return (0 if answer == "yes" else 1), {"embeds": answer, "depth": depth}
 
 
 def _k0_divides(args, diagram, depth):
+    from .bratteli import k0_unit_divisor
     if args.n < 1:
         raise InputError("--n must be a positive integer")
     return _stage_witness(k0_unit_divisor(diagram, args.n, depth), depth)
 
 
 def _rsub(args, diagram, depth):
+    from .bratteli import rational_subgroup_witness
     found = rational_subgroup_witness(diagram, _parse_vector(args.vector), args.stage, depth)
     if found is None:
         return 1, {"member": False, "reason": "no witness up to depth", "depth": depth}
@@ -245,10 +230,12 @@ def _rsub(args, diagram, depth):
 
 
 def _theta(args, diagram, depth):
+    from .bratteli import scale_unit_stage
     return _stage_witness(scale_unit_stage(diagram, _parse_fraction(args.x), depth), depth)
 
 
 def _divide(args, diagram, depth):
+    from .bratteli import divide_element
     if args.m < 1:
         raise InputError("--m must be a positive integer")
     vector = _parse_vector(args.vector)
@@ -256,6 +243,7 @@ def _divide(args, diagram, depth):
 
 
 def _telescope(args, diagram, depth):
+    from .bratteli import telescope
     return 0, telescope(diagram, _parse_vector(args.cuts)).to_data()
 
 
@@ -282,6 +270,8 @@ def _sn(args, subject, depth):
 
 
 def _group(args, group, depth):
+    from .ordered_group import (QuadraticElement, coprime_divisor_property, max_supernatural,
+                                rational_subgroup_member, unit_divisor)
     op = args.operation
     if op == "propd":
         report = coprime_divisor_property(group)
@@ -307,6 +297,7 @@ def _group(args, group, depth):
 
 
 def _catalog(args, subject, depth):
+    from .catalog import catalog_names
     if args.name is None:
         return 0, {"entries": catalog_names(), "patterns": ["uhf-<n>"]}
     entry = _catalog_entry(args.name)
@@ -371,36 +362,107 @@ _COMMANDS = (
 )
 
 
-def build_parser(name: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser with only the `_COMMANDS` row called `name`, else every row: a
-    request runs one command, and building all 14 subparsers is most of the CLI's
-    own start-up, while `brat`, `-h` and an unknown command print the full usage."""
+_DEPTH = ("--depth", {"type": int, "default": None,
+                      "help": "levels to compute (default %d, capped at a finite diagram's length)"
+                              % DEFAULT_DEPTH})
+
+
+def _arguments(command: _Command) -> list:
+    """The row's (name, add_argument options) pairs in the order the parser adds
+    them: positional extras, the source, then --depth and the other options."""
+    positionals = [arg for arg in command.arguments if not arg[0].startswith("-")]
+    options = [arg for arg in command.arguments if arg[0].startswith("-")]
+    if command.source is not None:
+        positionals.append(("source", {"help": "%s JSON file or catalog:NAME" % command.source}))
+    return positionals + [_DEPTH] * command.depth + options
+
+
+def build_parser():
+    """The argparse parser of every row; it parses what `_plain_args` does not
+    read and writes help and every usage error."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise InputError(message)
+
     parser = _Parser(prog="brat", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
-    for command in [row for row in _COMMANDS if row.name == name] or _COMMANDS:
+    for command in _COMMANDS:
         p = commands.add_parser(command.name, help=command.help)
-        # positional extras precede the source; --depth precedes other options
-        positionals = [arg for arg in command.arguments if not arg[0].startswith("-")]
-        options = [arg for arg in command.arguments if arg[0].startswith("-")]
-        for name, spec in positionals:
-            p.add_argument(name, **spec)
-        if command.source is not None:
-            p.add_argument("source", help="%s JSON file or catalog:NAME" % command.source)
-        if command.depth:
-            p.add_argument("--depth", type=int, default=None,
-                           help="levels to compute (default %d, capped at a finite "
-                                "diagram's length)" % DEFAULT_DEPTH)
-        for name, spec in options:
+        for name, spec in _arguments(command):
             p.add_argument(name, **spec)
         p.set_defaults(row=command)
     return parser
 
 
+def _converted(spec: dict, text: str):
+    """`text` through the argument's type and choices, or None where argparse would refuse it."""
+    try:
+        value = spec.get("type", str)(text)
+    except (TypeError, ValueError):
+        return None
+    return value if value in spec.get("choices", (value,)) else None
+
+
+def _plain_args(argv):
+    """The namespace `build_parser().parse_args(argv)` returns, read straight off
+    `_COMMANDS`, or None when argv is not plain.  Plain means: argv[0] names a row;
+    each of its options appears at most once, by its full name, as `--name value`
+    with a value that does not start with "-", or as `--name=value`; no value is
+    "--"; every type and choice check passes; every required option is given; and
+    the positional words fill the row's positionals exactly."""
+    row = next((row for row in _COMMANDS if argv and row.name == argv[0]), None)
+    if row is None:
+        return None
+    arguments = _arguments(row)
+    specs = dict(arguments)
+    values = {name.lstrip("-"): spec.get("default", False if spec.get("action") == "store_true" else None)
+              for name, spec in arguments}
+    values.update(command=row.name, row=row)
+    words, given, tokens = [], set(), iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        name, equals, text = token.partition("=")
+        spec = specs.get(name)
+        if spec is None or name in given:
+            return None
+        given.add(name)
+        if spec.get("action") == "store_true":
+            if equals:
+                return None
+            values[name[2:]] = True
+            continue
+        if not equals:
+            text = next(tokens, "-")  # a missing value is refused like a dashed one
+            if text.startswith("-"):
+                return None
+        if text == "--" or (value := _converted(spec, text)) is None:
+            return None
+        values[name[2:]] = value
+    if any(spec.get("required") and name not in given for name, spec in arguments):
+        return None
+    slots = [(name, spec) for name, spec in arguments if not name.startswith("-")]
+    spare = len(words) - sum("nargs" not in spec for _, spec in slots)  # words for a "?" or "+" slot
+    for name, spec in slots:
+        nargs = spec.get("nargs")
+        count = 1 if nargs is None else spare
+        low, high = {None: (1, 1), "?": (0, 1), "+": (1, count)}[nargs]
+        if not low <= count <= min(high, len(words)):
+            return None
+        taken, words = [_converted(spec, word) for word in words[:count]], words[count:]
+        if None in taken:
+            return None
+        values[name] = taken if nargs == "+" else taken[0] if taken else values[name]
+    return None if words else types.SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = _plain_args(argv) or build_parser().parse_args(argv)
         command = args.row
         subject = None if command.source is None else _load(args.source, command.source)
         depth = _depth_for(subject, args.depth) if command.depth else None

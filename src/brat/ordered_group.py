@@ -24,7 +24,6 @@ never does, being weakly unperforated.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Union
@@ -109,6 +108,7 @@ class QuadraticElement(Record):
     z: int
 
     def __post_init__(self):
+        from fractions import Fraction
         object.__setattr__(self, "q", Fraction(self.q))
         as_int(self.z, "integer coefficient expected")
 
@@ -117,6 +117,7 @@ class QuadraticElement(Record):
 
     @classmethod
     def from_data(cls, data) -> "QuadraticElement":
+        from fractions import Fraction
         try:
             return cls(Fraction(str(data["k"])), data["z"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -333,6 +334,7 @@ def scale_unit(group: CyclicOrderedGroup, x: Fraction) -> int:
     """
     if not isinstance(group, CyclicOrderedGroup) or not is_unperforated(group):
         raise ValueError("unsupported: the unit-scaling map needs the full nonnegative cone")
+    from fractions import Fraction
     x = Fraction(x)
     # every divisor of the unit divides it in the full cone, so Q(max
     # supernatural) holds x exactly when x * unit is an integer

@@ -16,11 +16,10 @@ act on exponents directly, and min(j, OMEGA) = j.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Mapping, Union
 
-from ._record import Record, as_int
+from ._record import Record, as_int, clipped
 from .primes import factorize, is_prime, prime_index
 
 
@@ -69,7 +68,7 @@ class SupernaturalNumber(Record):
         items = []
         for p, e in sorted(dict(self.exponents).items()):
             if isinstance(p, bool) or not isinstance(p, int) or not is_prime(p):
-                raise ValueError("supernatural keys must be primes, got %r" % (p,))
+                raise ValueError("supernatural keys must be primes, got %s" % clipped(p))
             if e is not OMEGA and as_int(e, "exponent of %d must be a natural or OMEGA" % p) < 0:
                 raise ValueError("exponent of %d must be nonnegative, got %d" % (p, e))
             if e > 0:
@@ -151,6 +150,7 @@ class SupernaturalNumber(Record):
 
     def contains(self, x: Fraction) -> bool:
         """Whether x lies in Q(self): the denominator divides self."""
+        from fractions import Fraction
         return SupernaturalNumber.from_int(Fraction(x).denominator).divides(self)
 
     def to_data(self) -> dict[str, object]:
@@ -168,13 +168,13 @@ class SupernaturalNumber(Record):
                 if str(p := int(str(key), 10)) != str(key):
                     raise ValueError
             except ValueError:
-                raise ValueError("bad prime key %r" % (key,)) from None
+                raise ValueError("bad prime key %s" % clipped(key)) from None
             if raw == "inf":
                 exps[p] = OMEGA
             elif isinstance(raw, int) and not isinstance(raw, bool):
                 exps[p] = raw
             else:
-                raise ValueError("bad exponent %r for prime %s" % (raw, key))
+                raise ValueError("bad exponent %s for prime %s" % (clipped(raw), clipped(p)))
         return cls(exps)
 
     def __repr__(self):

@@ -1,7 +1,8 @@
 import hypothesis
 
-# Keep the whole suite inside the 10-second budget; property tests stay
-# meaningful at this breadth because the strategies are narrow by design.
+# Keep the suite's run time down (about 35 s on a shared 2-CPU VM);
+# property tests stay meaningful at this breadth because the strategies
+# are narrow by design, and a test that needs more asks for it.
 hypothesis.settings.register_profile(
     "fast", max_examples=25, deadline=None, derandomize=True
 )

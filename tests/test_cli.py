@@ -375,6 +375,10 @@ class TestTelescope:
         status, _, err = run(capsys, "telescope", FINDIM, "--cuts", "1,2")
         assert status == 2 and "exceeds" in json.loads(err)["error"]["message"]
 
+    def test_cut_past_a_finite_diagram_exact_stderr(self, capsys):
+        assert run(capsys, "telescope", FINDIM, "--cuts", "9") == (2, "", (
+            '{"error": {"type": "input", "message": "cut 9 exceeds the 1 levels of a finite diagram"}}\n'))
+
 
 class TestSn:
     def test_divides(self, capsys):
@@ -428,6 +432,15 @@ class TestSn:
         error = json.loads(err)["error"]
         assert (status, out, error["type"]) == (2, "", "input")
         assert "bad prime key" in error["message"] and "Exceeds" not in error["message"]
+
+    @pytest.mark.parametrize("operand, message", [
+        ('{"%s": 1}' % ("1" * 5000), "bad prime key"),
+        ('{"1%s": 1}' % ("0" * 199), "supernatural keys must be primes"),
+    ], ids=["5000-digit-key", "200-digit-composite"])
+    def test_oversized_operand_is_echoed_short(self, capsys, operand, message):
+        status, out, err = run(capsys, "sn", "divides", operand, '{"3": 1}')
+        assert (status, out, json.loads(err)["error"]["type"]) == (2, "", "input")
+        assert message in err and len(err.encode()) < 400
 
     def test_canonical_prime_keys(self, capsys):
         big = "10000000000000000051"  # a 20-digit prime
@@ -823,7 +836,8 @@ def test_deep_first_hit_miss_multiplies_no_content(argv):
 def counted_walks(monkeypatch):
     """Count the walks down the diagram, one per `tower_profile` call,
     wherever the call is made from (`maximal_uhf` and `odometer` make one
-    that keeps no vectors); returns the list of walks made."""
+    that keeps no vectors, and the handlers read it off `brat.bratteli`
+    at call time); returns the list of walks made."""
     walks = []
     walk = brat.bratteli.tower_profile
 
@@ -832,7 +846,6 @@ def counted_walks(monkeypatch):
         return walk(*args, **kwargs)
 
     monkeypatch.setattr(brat.bratteli, "tower_profile", counted)
-    monkeypatch.setattr(brat.cli, "tower_profile", counted)
     return walks
 
 
@@ -970,32 +983,79 @@ def parsed(capsys, parse, argv):
 
 @pytest.mark.parametrize("row", brat.cli._COMMANDS, ids=lambda row: row.name)
 def test_one_command_parser_renders_the_full_parsers_help(capsys, row):
+    # a request that names one command and asks for help is not plain: the
+    # full parser prints that command's help
     full = parsed(capsys, brat.cli.build_parser().parse_args, [row.name, "-h"])
     assert full[0] == ("exit", 0) and full[1].startswith("usage: brat %s " % row.name)
-    assert parsed(capsys, brat.cli.build_parser(row.name).parse_args, [row.name, "-h"]) == full
+    assert brat.cli._plain_args([row.name, "-h"]) is None
+    assert parsed(capsys, main, [row.name, "-h"]) == full
 
 
-@pytest.mark.parametrize("argv", [
+HELP_AND_ERRORS = [
     [], ["-h"], ["--help"], ["bogus"], ["--depth", "3", "mu", "x"], ["mu"],
     ["mu", E55, "--bogus"], ["mu", E55, "--depth", "x"], ["mu", E55],
     *([row.name, "-h"] for row in brat.cli._COMMANDS),
-], ids=" ".join)
+    ["mu", E55, "--dep", "3"], ["mu", E55, "--depth=3"], ["mu", E55, "--depth", "3", "--depth", "4"],
+    ["group", "rsub", "catalog:cone-2-3-unit-2", "--g", "-3"],
+    ["group", "rsub", "catalog:quadratic-sqrt2", "--g=1/2,0"],
+    ["sn", "mul", "{}", "-h"], ["catalog", "example-5.5", "findim-4-6"],
+]
+
+
+@pytest.mark.parametrize("argv", HELP_AND_ERRORS, ids=" ".join)
 def test_main_answers_as_with_the_full_parser(monkeypatch, capsys, argv):
-    build = brat.cli.build_parser
-    usages = []
-
-    def recorded(name=None):
-        parser = build(name)
-        usages.append(" ".join(parser.format_usage().split()))
-        return parser
-
-    monkeypatch.setattr(brat.cli, "build_parser", recorded)
     answer = parsed(capsys, main, argv)
-    # a request that names a command builds that command's subparser alone
-    names = [row.name for row in brat.cli._COMMANDS]
-    if argv and argv[0] in names:
-        assert usages == ["usage: brat [-h] {%s} ..." % argv[0]]
-    else:
-        assert usages == ["usage: brat [-h] {%s} ..." % ",".join(names)]
-    monkeypatch.setattr(brat.cli, "build_parser", lambda name=None: build())
+    monkeypatch.setattr(brat.cli, "_plain_args", lambda argv: None)
     assert parsed(capsys, main, argv) == answer
+
+
+def test_help_describes_brat_by_the_first_docstring_line(capsys):
+    status, out, err = parsed(capsys, main, ["-h"])
+    assert (status, err) == (("exit", 0), "")
+    assert "\n\n%s\n\n" % brat.cli.__doc__.splitlines()[0] in out
+
+
+OPTION_NAMES = sorted({name for row in brat.cli._COMMANDS for name, _ in brat.cli._arguments(row)
+                       if name.startswith("-")})
+VALUES = ["-3", "-1/3", "--", "-", "", "-h", "5_0", "٣", "3", "0", "1,2", "1/2,0", "json", "dot", "x",
+          E55, "{}", *(choice for row in brat.cli._COMMANDS for _, spec in row.arguments
+                       for choice in spec.get("choices", ()))]
+
+
+@st.composite
+def argvs(draw):
+    """A command name, or a stray word; then some of the row's own options, each
+    as `--name value` or `--name=value` with a value that often fits its type,
+    a few bare words, and at most one stray option, all shuffled."""
+    row = draw(st.sampled_from(brat.cli._COMMANDS))
+    tokens = []
+    for name, spec in brat.cli._arguments(row):
+        fits = ["3", "0", "5_0", "٣", "-3"] if spec.get("type") is int else list(spec.get("choices", [E55]))
+        v = draw(st.sampled_from(VALUES) | st.sampled_from(fits))
+        if name.startswith("-") and draw(st.sampled_from([True, True, False])):
+            tokens.append(draw(st.sampled_from([[name, v], [name + "=" + v]])))
+        elif not name.startswith("-"):
+            tokens.append([v])
+    tokens += draw(st.lists(st.sampled_from(VALUES).map(lambda v: [v]), max_size=2))
+    stray, v = draw(st.sampled_from(OPTION_NAMES + ["--dep", "--ver", "-h", "--"])), draw(st.sampled_from(VALUES))
+    tokens += draw(st.sampled_from([[], [[stray]], [[stray, v]], [[stray + "=" + v]]]))
+    head = draw(st.sampled_from([row.name] * 8 + ["bogus", "-h", ""]))
+    return [head, *(token for group in draw(st.permutations(tokens)) for token in group)]
+
+
+@settings(max_examples=1000)
+@given(argvs())
+def test_plain_args_are_what_argparse_returns(argv):
+    plain = brat.cli._plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == vars(brat.cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("workload", ["cold-cli", "diagram-sweep", "arith-sweep"])
+@pytest.mark.parametrize("seed", [41, 97])
+def test_every_workload_request_is_plain(monkeypatch, workload, seed):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench import workloads
+
+    requests = workloads.build(workload, seed).requests
+    assert requests and [r.argv for r in requests if brat.cli._plain_args(list(r.argv)) is None] == []

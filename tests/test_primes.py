@@ -26,6 +26,9 @@ def test_known_composites_and_primes():
     # 399165290221 * 798330580441 passes Miller-Rabin for every base 2..37,
     # so only the randomized rounds above 2**64 can reject it.
     assert is_prime(318665857834031151167461) is False
+    # 149491 * 25587647795161 is a strong pseudoprime to every prime base up
+    # to 31, so only the last base of the deterministic set rejects it
+    assert is_prime(3825123056546413051) is False
 
 
 @given(st.integers(2, 10**9))

@@ -153,8 +153,27 @@ def test_validation_errors(build, message):
         build()
 
 
+# a plain request loads none of these, nor the layers listed with it
+UNUSED_AT_START = {"dataclasses", "inspect", "argparse", "gettext", "locale", "fractions", "decimal"}
+PLAIN_REQUESTS = [
+    (["mu", "catalog:example-5.5"], {"brat.ordered_group", "brat.dot"}),
+    (["sn", "mul", '{"2":1}', '{"3":1}'], {"brat.bratteli"}),
+    (["group", "maxsn", "catalog:cone-2-3-unit-2"], set()),
+    (["catalog"], set()),
+]
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     code = ("import sys; before = set(sys.modules); import brat, brat.cli; "
             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert (proc.stdout, proc.stderr) == ("[]\n", "")
+    # what `python -m brat ARGS` loads past interpreter start, written to stderr after the answer
+    code = ("import runpy, sys; before = set(sys.modules); sys.argv[0] = 'brat'\n"
+            "try: runpy.run_module('brat', run_name='__main__')\n"
+            "finally: sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))")
+    for argv, layers in PLAIN_REQUESTS:
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60)
+        loaded = set(proc.stderr.split())
+        assert proc.returncode == 0 and proc.stdout and "brat.cli" in loaded
+        assert loaded & (UNUSED_AT_START | layers) == set(), argv
