@@ -408,10 +408,11 @@ def _converted(spec: dict, text: str):
 def _plain_args(argv):
     """The namespace `build_parser().parse_args(argv)` returns, read straight off
     `_COMMANDS`, or None when argv is not plain.  Plain means: argv[0] names a row;
-    each of its options appears at most once, by its full name, as `--name value`
-    with a value that does not start with "-", or as `--name=value`; no value is
-    "--"; every type and choice check passes; every required option is given; and
-    the positional words fill the row's positionals exactly."""
+    each of its options appears at most once, by its full name: a flag alone, any
+    other as `--name value` with a value that does not start with "-", or as
+    `--name=value` with a value other than "--"; every type and choice check
+    passes; every required option is given; and the positional words fill the
+    row's positionals exactly."""
     row = next((row for row in _COMMANDS if argv and row.name == argv[0]), None)
     if row is None:
         return None
