@@ -27,6 +27,13 @@ level for the ratios, O(width) for the heights.  Only `towers` and
 `premorphism` keep every n_k; the others hold O(depth) words and one n_k.
 The odometer and the canonical premorphism are two readings of one walk.
 
+The first-hit searches stop at a horizon on a repeating tail, and a miss
+there is a miss at every depth.  From s0 = max(stage, L) each push applies
+the k x k tail A.  Over Z_p (Fitting) Z_p^k = N + U, A^k N in pN and A is
+invertible on U, so v_p(A^n y) = min(v_p(A^n y_N), v_p(y_U)), whose first
+term rises every k pushes: a gcd(content, m) that stalls k pushes is final.
+As ker A^n = ker A^k for n >= k, an `rsub` hit comes by level s0 + k.
+
 Head levels are pushed row by row.  The tail matrix A (k x k) is pushed
 in a form the walk builds once, chosen from A by an operation count:
 - Shared subset sums (Arlazarov, Dinic, Kronrod and Faradzev, 1970).
@@ -128,7 +135,7 @@ def _product(a: Matrix, pushes: int):
         return partial(_mat_vec, a)
     planes = max(reduce(or_, columns, 0).to_bytes(rows, "little")).bit_length()
     cost, b = min((-(-k // b) * (2**b + rows * planes), b) for b in range(1, 9))
-    if rows * k + pushes * cost >= pushes * rows * k:
+    if not planes or rows * k + pushes * cost >= pushes * rows * k:  # a zero a has no plane
         return partial(_mat_vec, a)
     # the bit-p slices of a block's columns, each shifted to its place in
     # the block, sum to the subsets that plane p of each row picks, a byte
@@ -140,8 +147,15 @@ def _product(a: Matrix, pushes: int):
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    push = _product(a, len(b[0]) if b else 0)
+    if push.func is _subset_mat_vec and min(map(min, b)) >= 0:
+        # each row of b packed into one integer, w bytes per entry, pushed once
+        n, w = len(b[0]), (max(map(sum, a)) * max(map(max, b))).bit_length() // 8 + 1
+        packed = push(tuple(int.from_bytes(b"".join(x.to_bytes(w, "little") for x in row), "little") for row in b))
+        return tuple(tuple(int.from_bytes(x.to_bytes(n * w, "little")[j:j + w], "little") for j in range(0, n * w, w))
+                     for x in packed)
     # a times each column of b, transposed back into rows
-    return tuple(zip(*map(_product(a, len(b[0]) if b else 0), zip(*b))))
+    return tuple(zip(*map(push, zip(*b))))
 
 
 class Violation(Record):
@@ -361,13 +375,12 @@ class PremorphismReport(Record):
     kind: Optional[str] = None  # "shape" or "commutativity"
 
 
-def _validated_depth(diagram: BratteliDiagram, depth: int) -> int:
+def _validated_depth(diagram: BratteliDiagram, depth: int) -> None:
     if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
         raise DiagramError("depth must be a nonnegative integer, got %r" % (depth,))
     if not diagram.is_infinite and depth > diagram.given_depth:
         raise DiagramError("depth %d exceeds the %d levels of a finite diagram"
                            % (depth, diagram.given_depth))
-    return depth
 
 
 def _det(a: Matrix) -> int:
@@ -418,6 +431,11 @@ def _pushed(diagram: BratteliDiagram, v: tuple[int, ...], stage: int, depth: int
             det = _det(a) if any(v) else 0
         r, v = _split(v, math.gcd(det, *v) if det else math.gcd(*v))
         yield r, v
+
+
+def _horizon(diagram: BratteliDiagram, stage: int, depth: int) -> tuple[int, int]:
+    # (s0, k): every push from level s0 on applies the k x k tail; none for a finite diagram
+    return (max(stage, diagram.given_depth - 1), diagram.levels[-1]) if diagram.is_infinite else (depth + 1, 0)
 
 
 def _levels(diagram: BratteliDiagram, entries: Sequence[int], stage: int, depth: int):
@@ -592,15 +610,16 @@ def rational_subgroup_witness(
 
     Such a multiple lambda = q/m witnesses m*g = q*[unit] in K0, so g
     lies in the rational subgroup of the unit.  Returns (lambda, stage)
-    at the first hit, or None if no stage up to `depth` works; absence
-    within depth is not a certificate.
+    at the first hit, or None if no stage up to `depth` works; on a
+    repeating tail the search stops at s0 + k, where a miss is final.
     """
     from fractions import Fraction
     pushed = _levels(diagram, entries, stage, depth)
     units = _pushed(diagram, (1,), 0, depth)
+    s0, k = _horizon(diagram, stage, depth)
     # the contents are multiplied only at the hit
     cs, gs = [], [q for q, _ in islice(units, stage)]
-    for s, ((r, v), (q, h)) in enumerate(zip(pushed, units), stage):
+    for s, ((r, v), (q, h)) in enumerate(islice(zip(pushed, units), s0 + k + 1 - stage), stage):
         cs.append(r)
         gs.append(q)
         # h is positive and primitive, so a parallel v is 0, h or -h
@@ -636,7 +655,8 @@ def divide_element(
 
     Pushing forward never destroys divisibility, so the first stage
     s <= depth where every entry divides by m gives the witness y with
-    m*y = g.  None means no stage within depth worked.
+    m*y = g, or None; on a repeating tail the search stops, with a miss at
+    every depth, once gcd(content, m) stalls for k tail pushes.
     """
     if m < 1:
         raise ValueError("divisor must be a positive integer, got %r" % (m,))
@@ -646,12 +666,16 @@ def divide_element(
     # every entry of c * v divides by m exactly when the content c, the
     # product of the ratios so far, does, that is when gcd(c, m) = m; that
     # gcd is carried as gcd(gcd(c, m) * r, m) and c is multiplied at the hit
-    ratios, g = [], 1
+    (s0, k), ratios, g = _horizon(diagram, stage, depth), [], 1
     for s, (r, v) in enumerate(pushed, stage):
         ratios.append(r)
-        g = math.gcd(g * r, m)
+        g, before = math.gcd(g * r, m), g
         if g == m:
             return DimensionVector(s, tuple(math.prod(ratios) // m * x for x in v))
+        if s <= s0 or g != before:
+            last = s  # the latest tail level at which g moved
+        elif s - last >= k:
+            break
     return None
 
 

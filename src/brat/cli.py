@@ -95,11 +95,9 @@ def _load(source: str, want: str):
 
 
 def _depth_for(diagram: BratteliDiagram, requested) -> int:
-    if requested is None:
-        if diagram.is_infinite:
-            return DEFAULT_DEPTH
-        return min(DEFAULT_DEPTH, diagram.given_depth)
-    return requested
+    if requested is not None:
+        return requested
+    return DEFAULT_DEPTH if diagram.is_infinite else min(DEFAULT_DEPTH, diagram.given_depth)
 
 
 def _parse_supernatural(text: str) -> SupernaturalNumber:
@@ -464,6 +462,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _plain_args(argv) or build_parser().parse_args(argv)
+        dropped = [name for name, value in vars(args).items() if value == []]  # argparse's `--name=--`
+        if dropped:
+            raise InputError("argument --%s: expected one argument" % dropped[0])
         command = args.row
         subject = None if command.source is None else _load(args.source, command.source)
         depth = _depth_for(subject, args.depth) if command.depth else None

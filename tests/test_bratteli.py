@@ -832,6 +832,74 @@ class TestDivideElement:
         assert two.entries == (9,) and three.entries == (1,)
 
 
+def companion(levels, head, p):
+    """A diagram whose tail is the companion matrix of x**k - p: each push
+    moves every entry up one place and the first one to the end times p,
+    so v_p of the content rises once every k levels."""
+    k = levels[-1]
+    tail = tuple(tuple(p if (i, j) == (k - 1, 0) else int(j == i + 1) for j in range(k)) for i in range(k))
+    return BratteliDiagram(levels, head + (tail,), REPEAT_LAST)
+
+
+@st.composite
+def horizon_diagrams(draw):
+    """A head of width 1-3 and a tail of width 1-4 that is random or a companion of x**k - p."""
+    h, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    base = draw(diagrams(max_width=3, max_depth=2, max_entry=3, allow_tail=False))
+    if draw(st.booleans()):
+        return companion((1, k, k), (((1,),) * k,), draw(st.sampled_from((2, 3, 4, 6, 9, 12))))
+    widths = base.levels + (h, k, k)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    matrices = []
+    for rows, cols in zip(widths[base.given_depth + 1:], widths[base.given_depth:]):
+        m = [[rng.randint(0, 3) for _ in range(cols)] for _ in range(rows)]
+        for i in range(max(rows, cols)):  # no zero row or column
+            m[i % rows][i % cols] = m[i % rows][i % cols] or rng.randint(1, 3)
+        matrices.append(tuple(map(tuple, m)))
+    return BratteliDiagram(widths, base.matrices + tuple(matrices), REPEAT_LAST)
+
+
+class TestSearchHorizon:
+    """On a repeating tail of width k, `divide_element` and `k0_unit_divisor`
+    stop once gcd(content, m) stalls for k pushes from s0 = max(stage, L), and
+    `rational_subgroup_witness` at s0 + k; a miss there is a miss at every
+    depth, so every answer equals the full-depth oracle's."""
+
+    SWAP = BratteliDiagram((1, 2, 2), (((1,), (1,)), ((0, 1), (2, 0))), REPEAT_LAST)
+
+    @pytest.mark.parametrize("e", range(1, 6))
+    def test_the_window_is_the_tail_width(self, e):
+        # v_2 of the content rises once every 2 pushes; a window of k - 1 misses each of these
+        assert k0_unit_divisor(self.SWAP, 2**e, 40).stage == 2 * e + 1
+        cycle3 = companion((1, 3, 3), (((1,),) * 3,), 3)
+        assert k0_unit_divisor(cycle3, 3**e, 40).stage == 3 * e + 1
+
+    def test_a_vector_off_the_unit_stalls_late(self):
+        got = divide_element(self.SWAP, (1, 0), 1, 8, 40)
+        assert (got.stage, got.entries) == (6, (0, 1))
+        assert divide_element(self.SWAP, (1, 0), 1, 8 * 3, 40) is None
+
+    @settings(max_examples=150)
+    @given(horizon_diagrams(), st.integers(0, 45), st.integers(0, 3), st.integers(0, 99))
+    def test_searches_match_full_depth_oracles(self, diagram, depth, stage, seed):
+        stage, rng = min(stage, depth), random.Random(seed)
+        width = diagram.width_at(stage)
+        heights = edge_walk_heights(diagram, depth)
+        # divisors the content reaches late, never, or only through a composite gcd
+        ms = (rng.randint(1, 40), rng.choice((2, 3)) ** rng.randint(1, 12),
+              math.gcd(*heights[rng.randint(stage, depth)]) * rng.randint(1, 4))
+        for m in ms:
+            entries = tuple(rng.randint(0, 4) for _ in range(width))
+            got = divide_element(diagram, entries, stage, m, depth)
+            assert (got and (got.stage, got.entries)) == reference_divide(diagram, entries, stage, m, depth)
+            got = k0_unit_divisor(diagram, m, depth)
+            assert (got and (got.stage, got.entries)) == reference_divide(diagram, (1,), 0, m, depth)
+        for entries in (tuple(rng.randint(-4, 4) for _ in range(width)),
+                        tuple(x - rng.randint(0, 1) for x in heights[stage])):
+            assert rational_subgroup_witness(diagram, entries, stage, depth) == reference_rsub(
+                diagram, entries, stage, depth)
+
+
 @pytest.mark.parametrize("call", [
     lambda: divide_element(E55, (1.9, 2.2), 1, 3, 5),  # int() would walk (1, 2)
     lambda: rational_subgroup_witness(E55, ("3", True), 1, 5),  # int() would walk (3, 1)
@@ -1015,6 +1083,33 @@ class TestTailForms:
         naive = tuple(tuple(sum(a[i][j] * b[j][c] for j in range(k)) for c in range(columns))
                       for i in range(rows))
         assert brat.bratteli._mat_mul(a, b) == naive
+
+    @given(st.integers(1, 70), st.integers(1, 70), st.integers(2, 6), st.sampled_from((0, 3, 255)),
+           st.sampled_from((-9, 0)), st.sampled_from((1, 255, 256, 2**70)), st.integers(0, 99))
+    def test_packed_mat_mul_matches_a_triple_loop(self, rows, k, columns, top, low, high, seed):
+        # a nonnegative b goes through the shared subset sums as one push of
+        # packed rows, w bytes a slot; a negative entry keeps the push per column
+        rng = random.Random(seed)
+        a = tuple(tuple(rng.randint(0, top) for _ in range(k)) for _ in range(rows))
+        b = tuple(tuple(rng.randint(low, high) for _ in range(columns)) for _ in range(k))
+        pushes, subset = [], brat.bratteli._subset_mat_vec
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(brat.bratteli, "_subset_mat_vec", lambda *args: pushes.append(1) or subset(*args))
+            got = brat.bratteli._mat_mul(a, b)
+        assert got == tuple(tuple(sum(a[i][j] * b[j][c] for j in range(k)) for c in range(columns))
+                            for i in range(rows))
+        assert len(pushes) in ((0, 1) if low == 0 else (0, columns))
+
+    def test_wide_telescope_pushes_packed_rows_once(self, monkeypatch):
+        rng = random.Random(100)
+        tail = tuple(tuple(rng.randrange(4) or int(i == j) for j in range(100)) for i in range(100))
+        diagram = BratteliDiagram((1, 100, 100), ((((1,),) * 100), tail), REPEAT_LAST)
+        pushes, subset = [], brat.bratteli._subset_mat_vec
+        monkeypatch.setattr(brat.bratteli, "_subset_mat_vec", lambda *args: pushes.append(1) or subset(*args))
+        scoped = telescope(diagram, (1, 3))
+        assert len(pushes) == 1
+        assert scoped.matrices[1] == tuple(tuple(sum(tail[i][j] * tail[j][c] for j in range(100))
+                                                 for c in range(100)) for i in range(100))
 
     @pytest.mark.parametrize("width, bits, depth, singular, forms", [
         (100, 2, 30, False, {"_subset_mat_vec": 29, "_det": 0}),

@@ -817,20 +817,28 @@ def test_deep_tail_that_never_revisits_keeps_no_vectors(tmp_path, data, argv, st
     assert (proc.returncode, proc.stdout, proc.stderr) == (status, out, "")
 
 
-@pytest.mark.parametrize("argv", [
-    ("k0-divides", E55, "--n", "2"),
-    ("divide", E55, "--stage", "1", "--vector", "1,1", "--m", "2"),
-], ids=["k0-divides", "divide"])
-def test_deep_first_hit_miss_multiplies_no_content(argv):
+DEEP_MISS = '{"witness": null, "depth": 300000}\n'
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("k0-divides", E55, "--n", "2"), DEEP_MISS),
+    (("divide", E55, "--stage", "1", "--vector", "1,1", "--m", "2"), DEEP_MISS),
+    (("divide", E55, "--stage", "1", "--vector", "1,2", "--m", "2"), DEEP_MISS),
+    (("rsub", E55, "--stage", "1", "--vector", "1,2"),
+     '{"member": false, "reason": "no witness up to depth", "depth": 300000}\n'),
+], ids=["k0-divides", "divide", "divide-off-ray", "rsub-off-ray"])
+def test_deep_first_hit_miss_multiplies_no_content(argv, out):
     # the content 3**s grows by a ratio per level: multiplied out at every
     # level, a miss costs O(depth**2) bit operations, 10-20 s of CPU where
-    # the walk alone takes about 1 s (Python 3.11, a 2-CPU VM)
+    # the walk alone takes about 1 s (Python 3.11, a 2-CPU VM).  (1, 2) pushes
+    # to consecutive integers with content 1, about 1.6 bits more per level,
+    # so only the tail's horizon, two levels past the stage, bounds its miss
     def cap():
         resource.setrlimit(resource.RLIMIT_CPU, (8, 8))
 
     proc = subprocess.run([sys.executable, "-m", "brat", *argv, "--depth", "300000"],
                           capture_output=True, text=True, timeout=60, preexec_fn=cap)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (1, '{"witness": null, "depth": 300000}\n', "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, out, "")
 
 
 def counted_walks(monkeypatch):
@@ -1017,6 +1025,18 @@ def test_help_describes_brat_by_the_first_docstring_line(capsys):
 
 OPTION_NAMES = sorted({name for row in brat.cli._COMMANDS for name, _ in brat.cli._arguments(row)
                        if name.startswith("-")})
+@pytest.mark.parametrize("argv", [
+    ("theta", E55, "--x=--"),
+    ("embed", E55, "--uhf=--"),
+    ("telescope", E55, "--cuts=--"),
+], ids=lambda argv: argv[0])
+def test_an_option_given_as_equals_dash_dash_is_refused(capsys, argv):
+    # argparse drops the "--" of `--name=--` and stores [] as the value
+    option = argv[-1][:-3]
+    assert run(capsys, *argv) == (2, "", '{"error": {"type": "input", "message": '
+                                          '"argument %s: expected one argument"}}\n' % option)
+
+
 VALUES = ["-3", "-1/3", "--", "-", "", "-h", "5_0", "٣", "3", "0", "1,2", "1/2,0", "json", "dot", "x",
           E55, "{}", *(choice for row in brat.cli._COMMANDS for _, spec in row.arguments
                        for choice in spec.get("choices", ()))]
