@@ -148,14 +148,14 @@ def _product(a: Matrix, pushes: int):
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     push = _product(a, len(b[0]) if b else 0)
-    if push.func is _subset_mat_vec and min(map(min, b)) >= 0:
-        # each row of b packed into one integer, w bytes per entry, pushed once
-        n, w = len(b[0]), (max(map(sum, a)) * max(map(max, b))).bit_length() // 8 + 1
-        packed = push(tuple(int.from_bytes(b"".join(x.to_bytes(w, "little") for x in row), "little") for row in b))
-        return tuple(tuple(int.from_bytes(x.to_bytes(n * w, "little")[j:j + w], "little") for j in range(0, n * w, w))
-                     for x in packed)
-    # a times each column of b, transposed back into rows
-    return tuple(zip(*map(push, zip(*b))))
+    if push.func is _mat_vec or min(map(min, b)) < 0:  # a times each column of b, transposed back into rows
+        return tuple(zip(*map(push, zip(*b))))
+    # each row of b packed into one integer of w-byte slots, pushed once: no entry of a b reaches 256**w
+    n, w = len(b[0]), (max(map(sum, a)) * max(map(max, b))).bit_length() // 8 + 1
+    slots = tuple(map(slice, range(0, n * w, w), range(w, n * w + w, w)))
+    rows = push([int.from_bytes(b"".join(map(int.to_bytes, r, repeat(w), repeat("little"))), "little") for r in b])
+    return tuple(tuple(map(int.from_bytes, map(x.to_bytes(n * w, "little").__getitem__, slots), repeat("little")))
+                 for x in rows)
 
 
 class Violation(Record):
