@@ -31,7 +31,7 @@ The first-hit searches stop at a horizon on a repeating tail, and a miss
 there is a miss at every depth.  From s0 = max(stage, L) each push applies
 the k x k tail A.  Over Z_p (Fitting) Z_p^k = N + U, A^k N in pN and A is
 invertible on U, so v_p(A^n y) = min(v_p(A^n y_N), v_p(y_U)), whose first
-term rises every k pushes: a gcd(content, m) that stalls k pushes is final.
+term gains at least 1 per k pushes: a gcd(content, m) stalled k pushes is final.
 As ker A^n = ker A^k for n >= k, an `rsub` hit comes by level s0 + k.
 
 Head levels are pushed row by row.  The tail matrix A (k x k) is pushed
@@ -434,7 +434,7 @@ def _pushed(diagram: BratteliDiagram, v: tuple[int, ...], stage: int, depth: int
 
 
 def _horizon(diagram: BratteliDiagram, stage: int, depth: int) -> tuple[int, int]:
-    # (s0, k): every push from level s0 on applies the k x k tail; none for a finite diagram
+    # (s0, k): every push from level s0 on applies the k x k tail; a finite diagram's s0 lies past the depth
     return (max(stage, diagram.given_depth - 1), diagram.levels[-1]) if diagram.is_infinite else (depth + 1, 0)
 
 
