@@ -29,9 +29,11 @@ The odometer and the canonical premorphism are two readings of one walk.
 
 The first-hit searches stop at a horizon on a repeating tail, and a miss
 there is a miss at every depth.  From s0 = max(stage, L) each push applies
-the k x k tail A.  Over Z_p (Fitting) Z_p^k = N + U, A^k N in pN and A is
-invertible on U, so v_p(A^n y) = min(v_p(A^n y_N), v_p(y_U)), whose first
-term gains at least 1 per k pushes: a gcd(content, m) stalled k pushes is final.
+the k x k tail A; `_horizon` alone states s0, which the walk and its
+revisit read at stage 0 (s0 = L) and the searches at theirs.  Over Z_p
+(Fitting) Z_p^k = N + U, A^k N in pN and A is invertible on U, so
+v_p(A^n y) = min(v_p(A^n y_N), v_p(y_U)), whose first term gains at
+least 1 per k pushes: a gcd(content, m) stalled k pushes is final.
 As ker A^n = ker A^k for n >= k, an `rsub` hit comes by level s0 + k.
 
 Head levels are pushed row by row.  The tail matrix A (k x k) is pushed
@@ -412,7 +414,7 @@ def _split(v: tuple[int, ...], r: int):
 def _pushed(diagram: BratteliDiagram, v: tuple[int, ...], stage: int, depth: int):
     # (r_s, n_s) for s = stage .. depth: n_s is primitive (or zero) and the
     # vector M_s ... M_{stage+1} v is r_stage * ... * r_s * n_s
-    tail = max(stage + 1, diagram.given_depth if diagram.is_infinite else depth + 1)
+    tail = _horizon(diagram, stage, depth)[0] + 1
     for s in range(stage, min(tail, depth + 1)):
         if s > stage:
             v = _mat_vec(diagram.matrix_at(s), v)
@@ -464,8 +466,9 @@ def tower_profile(diagram: BratteliDiagram, depth: int, keep: bool = True) -> To
     against n_s pushed again from (1,), kept or not; a collision keeps
     both levels, so t is still the least."""
     ratios, vectors, seen, period = [], [], {}, None
-    tail = diagram.given_depth - 1 if diagram.is_infinite else depth + 1
-    for k, (r, n) in enumerate(_levels(diagram, (1,), 0, depth)):
+    walk = _levels(diagram, (1,), 0, depth)  # validates the diagram before _horizon reads it
+    tail = _horizon(diagram, 0, depth)[0]
+    for k, (r, n) in enumerate(walk):
         ratios.append(r)
         if keep:
             vectors.append(n)
@@ -702,7 +705,5 @@ def telescope(diagram: BratteliDiagram, cut_points: Sequence[int]) -> BratteliDi
     matrices = tuple(_carried(diagram, a + 1, b, diagram.matrix_at(a + 1))
                      for a, b in zip(bounds, bounds[1:]))
     levels = (1,) + tuple(diagram.width_at(c) for c in cuts)
-    tail = None
-    if diagram.is_infinite and bounds[-2] >= diagram.given_depth - 1:
-        tail = REPEAT_LAST
+    tail = REPEAT_LAST if bounds[-2] >= _horizon(diagram, 0, cuts[-1])[0] else None
     return BratteliDiagram(levels, matrices, tail)

@@ -97,7 +97,7 @@ def _load(source: str, want: str):
 def _depth_for(diagram: BratteliDiagram, requested) -> int:
     if requested is not None:
         return requested
-    return DEFAULT_DEPTH if diagram.is_infinite else min(DEFAULT_DEPTH, diagram.given_depth)
+    return DEFAULT_DEPTH if diagram.is_infinite else diagram.given_depth
 
 
 def _parse_supernatural(text: str) -> SupernaturalNumber:
@@ -313,66 +313,54 @@ def _catalog(args, subject, depth):
 class _Command(NamedTuple):
     name: str
     help: str
-    source: Optional[str]  # what the positional source loads: "diagram", "group" or None
-    depth: bool            # whether --depth applies
-    arguments: tuple       # extra (name, add_argument options) pairs, in help order
+    source: Optional[str]  # what the "source" positional loads: "diagram", "group" or None
+    arguments: tuple       # (name, add_argument options) pairs, in the order the parser adds them
     handler: Callable
 
 
+_DIAGRAM = ("source", {"help": "diagram JSON file or catalog:NAME"})
+_GROUP = ("source", {"help": "group JSON file or catalog:NAME"})
+_DEPTH = ("--depth", {"type": int, "default": None,
+                      "help": "levels to compute (default: all of a finite diagram, %d of an infinite one)"
+                              % DEFAULT_DEPTH})
 _STAGE = ("--stage", {"type": int, "required": True})
 _VECTOR = ("--vector", {"required": True, "help": "comma-separated integers"})
 
 _COMMANDS = (
-    _Command("validate", "check the structural rules of a diagram", "diagram", False, (), _validate),
-    _Command("towers", "heights, gcds, and ratios per level", "diagram", True, (), _towers),
-    _Command("odometer", "the single-vertex ratio diagram", "diagram", True,
-             (("--format", {"choices": ("json", "dot"), "default": "json"}),), _odometer),
-    _Command("mu", "supernatural invariant of the maximal UHF subalgebra", "diagram", True,
-             (), _mu),
-    _Command("premorphism", "canonical odometer premorphism", "diagram", True,
-             (("--verify", {"action": "store_true", "help": "check the commuting squares"}),),
+    _Command("validate", "check the structural rules of a diagram", "diagram", (_DIAGRAM,), _validate),
+    _Command("towers", "heights, gcds, and ratios per level", "diagram", (_DIAGRAM, _DEPTH), _towers),
+    _Command("odometer", "the single-vertex ratio diagram", "diagram",
+             (_DIAGRAM, _DEPTH, ("--format", {"choices": ("json", "dot"), "default": "json"})), _odometer),
+    _Command("mu", "supernatural invariant of the maximal UHF subalgebra", "diagram", (_DIAGRAM, _DEPTH), _mu),
+    _Command("premorphism", "canonical odometer premorphism", "diagram",
+             (_DIAGRAM, _DEPTH, ("--verify", {"action": "store_true", "help": "check the commuting squares"})),
              _premorphism),
-    _Command("embed", "does the given UHF algebra embed unitally", "diagram", True,
-             (("--uhf", {"required": True, "help": "supernatural number as JSON"}),), _embed),
-    _Command("k0-divides", "stage witness that n divides the unit class", "diagram", True,
-             (("--n", {"type": int, "required": True}),), _k0_divides),
-    _Command("rsub", "rational-subgroup membership of a stage vector", "diagram", True,
-             (_STAGE, _VECTOR), _rsub),
-    _Command("theta", "represent x*[unit] as a stage vector", "diagram", True,
-             (("--x", {"required": True, "help": "rational like 5/6"}),), _theta),
-    _Command("divide", "divide a stage vector by m in K0", "diagram", True,
-             (_STAGE, _VECTOR, ("--m", {"type": int, "required": True})), _divide),
-    _Command("telescope", "compose matrices between cut points", "diagram", False,
-             (("--cuts", {"required": True, "help": "comma-separated increasing levels"}),),
-             _telescope),
-    _Command("sn", "supernatural-number arithmetic", None, False, (
+    _Command("embed", "does the given UHF algebra embed unitally", "diagram",
+             (_DIAGRAM, _DEPTH, ("--uhf", {"required": True, "help": "supernatural number as JSON"})), _embed),
+    _Command("k0-divides", "stage witness that n divides the unit class", "diagram",
+             (_DIAGRAM, _DEPTH, ("--n", {"type": int, "required": True})), _k0_divides),
+    _Command("rsub", "rational-subgroup membership of a stage vector", "diagram",
+             (_DIAGRAM, _DEPTH, _STAGE, _VECTOR), _rsub),
+    _Command("theta", "represent x*[unit] as a stage vector", "diagram",
+             (_DIAGRAM, _DEPTH, ("--x", {"required": True, "help": "rational like 5/6"})), _theta),
+    _Command("divide", "divide a stage vector by m in K0", "diagram",
+             (_DIAGRAM, _DEPTH, _STAGE, _VECTOR, ("--m", {"type": int, "required": True})), _divide),
+    _Command("telescope", "compose matrices between cut points", "diagram",
+             (_DIAGRAM, ("--cuts", {"required": True, "help": "comma-separated increasing levels"})), _telescope),
+    _Command("sn", "supernatural-number arithmetic", None, (
         ("operation", {"choices": ("divides", "mul", "sup", "inf", "ell")}),
         ("operands", {"nargs": "+", "help": "supernatural numbers as JSON; "
                                             "ell takes one plus a stage index"}),
     ), _sn),
-    _Command("group", "ordered-group divisibility", "group", False, (
+    _Command("group", "ordered-group divisibility", "group", (
         ("operation", {"choices": ("propd", "maxsn", "divides", "rsub")}),
+        _GROUP,
         ("--n", {"type": int, "default": None, "help": "divisor (divides)"}),
         ("--g", {"default": None, "help": "element: integer, or 'q,z' (rsub)"}),
     ), _group),
-    _Command("catalog", "list or show built-in examples", None, False,
-             (("name", {"nargs": "?", "default": None}),), _catalog),
+    _Command("catalog", "list or show built-in examples", None, (("name", {"nargs": "?", "default": None}),),
+             _catalog),
 )
-
-
-_DEPTH = ("--depth", {"type": int, "default": None,
-                      "help": "levels to compute (default %d, capped at a finite diagram's length)"
-                              % DEFAULT_DEPTH})
-
-
-def _arguments(command: _Command) -> list:
-    """The row's (name, add_argument options) pairs in the order the parser adds
-    them: positional extras, the source, then --depth and the other options."""
-    positionals = [arg for arg in command.arguments if not arg[0].startswith("-")]
-    options = [arg for arg in command.arguments if arg[0].startswith("-")]
-    if command.source is not None:
-        positionals.append(("source", {"help": "%s JSON file or catalog:NAME" % command.source}))
-    return positionals + [_DEPTH] * command.depth + options
 
 
 def build_parser():
@@ -388,7 +376,7 @@ def build_parser():
     commands = parser.add_subparsers(dest="command", required=True)
     for command in _COMMANDS:
         p = commands.add_parser(command.name, help=command.help)
-        for name, spec in _arguments(command):
+        for name, spec in command.arguments:
             p.add_argument(name, **spec)
         p.set_defaults(row=command)
     return parser
@@ -414,10 +402,9 @@ def _plain_args(argv):
     row = next((row for row in _COMMANDS if argv and row.name == argv[0]), None)
     if row is None:
         return None
-    arguments = _arguments(row)
-    specs = dict(arguments)
+    specs = dict(row.arguments)
     values = {name.lstrip("-"): spec.get("default", False if spec.get("action") == "store_true" else None)
-              for name, spec in arguments}
+              for name, spec in row.arguments}
     values.update(command=row.name, row=row)
     words, given, tokens = [], set(), iter(argv[1:])
     for token in tokens:
@@ -441,9 +428,9 @@ def _plain_args(argv):
         if text == "--" or (value := _converted(spec, text)) is None:
             return None
         values[name[2:]] = value
-    if any(spec.get("required") and name not in given for name, spec in arguments):
+    if any(spec.get("required") and name not in given for name, spec in row.arguments):
         return None
-    slots = [(name, spec) for name, spec in arguments if not name.startswith("-")]
+    slots = [(name, spec) for name, spec in row.arguments if not name.startswith("-")]
     spare = len(words) - sum("nargs" not in spec for _, spec in slots)  # words for a "?" or "+" slot
     for name, spec in slots:
         nargs = spec.get("nargs")
@@ -467,7 +454,7 @@ def main(argv=None) -> int:
             raise InputError("argument --%s: expected one argument" % dropped[0])
         command = args.row
         subject = None if command.source is None else _load(args.source, command.source)
-        depth = _depth_for(subject, args.depth) if command.depth else None
+        depth = _depth_for(subject, args.depth) if _DEPTH in command.arguments else None
         status, payload = command.handler(args, subject, depth)
         try:
             pieces = [payload] if isinstance(payload, str) else _json_pieces(payload)

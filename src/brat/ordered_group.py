@@ -69,7 +69,7 @@ def semigroup_member(generators: tuple[int, ...], x: int) -> bool:
         return False
     if x == 0:
         return True
-    g = math.gcd(*gens) if len(gens) > 1 else gens[0]
+    g = math.gcd(*gens)
     if x % g:
         return False
     x //= g

@@ -1,4 +1,4 @@
-"""Integer primality, factorization, and prime enumeration.
+"""Integer primality, factorization, and prime counting.
 
 Everything here is exact and works on arbitrary-precision integers.
 Primality is decided deterministically below 2**64 through a fixed

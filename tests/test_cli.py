@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import shlex
 import subprocess
@@ -138,6 +139,27 @@ class TestTowers:
         assert (status, out) == (2, "")
         lines = err.splitlines()
         assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
+
+
+# 20 levels of [[2]] and no tail: the UHF algebra M_{2^20}
+LONG_FINDIM = {"levels": [1] * 21, "matrices": [[[2]]] * 20}
+
+
+@pytest.mark.parametrize("argv, walked, at_16", [
+    (["mu"], (0, '{"mu": {"2": 20}, "exactness": "certified"}\n'),
+     (0, '{"mu": {"2": 16}, "exactness": "truncated-at-depth"}\n')),
+    (["embed", "--uhf", '{"2":20}'], (0, '{"embeds": "yes", "depth": 20}\n'),
+     (1, '{"embeds": "no-within-depth", "depth": 16}\n')),
+    (["k0-divides", "--n", "1048576"], (0, '{"stage": 20, "vector": [1]}\n'),
+     (1, '{"witness": null, "depth": 16}\n')),
+], ids=["mu", "embed", "k0-divides"])
+def test_a_finite_diagram_is_walked_to_its_last_level_by_default(capsys, tmp_path, argv, walked, at_16):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(LONG_FINDIM))
+    command, *options = argv
+    assert run(capsys, command, str(path), *options) == (*walked, "")
+    assert run(capsys, command, str(path), *options, "--depth", "20") == (*walked, "")
+    assert run(capsys, command, str(path), *options, "--depth", "16") == (*at_16, "")
 
 
 class TestMu:
@@ -1017,14 +1039,29 @@ def test_main_answers_as_with_the_full_parser(monkeypatch, capsys, argv):
     assert parsed(capsys, main, argv) == answer
 
 
+# `brat -h`, then `brat <command> -h` for each row, at COLUMNS=80, each after a "$ brat ..." line
+_HELP = re.split(r"^\$ brat (.*)\n", (Path(__file__).parent / "help_goldens.txt").read_text(encoding="utf-8"),
+                 flags=re.M)
+HELP_GOLDENS = dict(zip(_HELP[1::2], _HELP[2::2]))
+
+
+def test_help_goldens_name_every_command():
+    assert list(HELP_GOLDENS) == ["-h", *("%s -h" % row.name for row in brat.cli._COMMANDS)]
+
+
+@pytest.mark.parametrize("argv", HELP_GOLDENS)
+def test_help_golden(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert parsed(capsys, main, argv.split()) == (("exit", 0), HELP_GOLDENS[argv], "")
+
+
 def test_help_describes_brat_by_the_first_docstring_line(capsys):
     status, out, err = parsed(capsys, main, ["-h"])
     assert (status, err) == (("exit", 0), "")
     assert "\n\n%s\n\n" % brat.cli.__doc__.splitlines()[0] in out
 
 
-OPTION_NAMES = sorted({name for row in brat.cli._COMMANDS for name, _ in brat.cli._arguments(row)
-                       if name.startswith("-")})
+OPTION_NAMES = sorted({name for row in brat.cli._COMMANDS for name, _ in row.arguments if name.startswith("-")})
 @pytest.mark.parametrize("argv", [
     ("theta", E55, "--x=--"),
     ("embed", E55, "--uhf=--"),
@@ -1049,7 +1086,7 @@ def argvs(draw):
     a few bare words, and at most one stray option, all shuffled."""
     row = draw(st.sampled_from(brat.cli._COMMANDS))
     tokens = []
-    for name, spec in brat.cli._arguments(row):
+    for name, spec in row.arguments:
         fits = ["3", "0", "5_0", "٣", "-3"] if spec.get("type") is int else list(spec.get("choices", [E55]))
         v = draw(st.sampled_from(VALUES) | st.sampled_from(fits))
         if name.startswith("-") and draw(st.sampled_from([True, True, False])):

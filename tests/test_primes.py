@@ -46,6 +46,7 @@ def test_factorize_edge_cases():
     assert factorize(1) == {}
     assert factorize(2**10) == {2: 10}
     assert factorize(600851475143) == {71: 1, 839: 1, 1471: 1, 6857: 1}
+    assert factorize(3127) == {53: 1, 59: 1}  # rho's batch gcd hits n, so Brent backtracks
     with pytest.raises(ValueError):
         factorize(0)
 
