@@ -43,11 +43,7 @@ class CatalogEntry(Record):
     kind: str  # "diagram" or "group"
     payload: BratteliDiagram | OrderedGroup
     note: str
-    expected: dict = None
-
-    def __post_init__(self):
-        if self.expected is None:
-            object.__setattr__(self, "expected", {})
+    expected: dict
 
 
 _FIXED_ENTRIES = {

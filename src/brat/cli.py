@@ -449,9 +449,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _plain_args(argv) or build_parser().parse_args(argv)
-        dropped = [name for name, value in vars(args).items() if value == []]  # argparse's `--name=--`
-        if dropped:
-            raise InputError("argument --%s: expected one argument" % dropped[0])
+        dropped = [name for name, _ in args.row.arguments if name[0] == "-" and vars(args)[name[2:]] in ([], "--")]
+        if dropped:  # argparse's `--name=--`: [] before Python 3.13, "--" from 3.13
+            raise InputError("argument %s: expected one argument" % dropped[0])
         command = args.row
         subject = None if command.source is None else _load(args.source, command.source)
         depth = _depth_for(subject, args.depth) if _DEPTH in command.arguments else None

@@ -167,9 +167,6 @@ class QuadraticIrrationalGroup(Record):
             "unit": self.unit.to_data(),
         }
 
-    def sign(self, element: QuadraticElement) -> int:
-        return quadratic_sign(element.q, element.z, self.alpha_square)
-
     def is_member(self, element: QuadraticElement) -> bool:
         return self.h_number.contains(element.q)
 
@@ -216,8 +213,6 @@ def unit_divisor(group: OrderedGroup, n: int) -> Optional[GroupElement]:
         return None
     candidate = QuadraticElement(q / n, z // n)
     if not group.h_number.contains(candidate.q):
-        return None
-    if group.sign(candidate) <= 0:
         return None
     return candidate
 

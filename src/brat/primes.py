@@ -24,8 +24,6 @@ _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def _miller_rabin(n: int, base: int) -> bool:
-    if base % n == 0:
-        return True
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -57,10 +55,8 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    # Brent's cycle finding; n must be odd, composite, not a prime power
-    # handled elsewhere.  Returns a nontrivial factor.
-    if n % 2 == 0:
-        return 2
+    # Brent's cycle finding; n must be odd and composite (prime powers
+    # included).  Returns a nontrivial factor.
     rng = random.Random(n ^ 0x5EED)
     while True:
         y = rng.randrange(1, n)
@@ -102,8 +98,6 @@ def factorize(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue

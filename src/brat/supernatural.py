@@ -25,21 +25,16 @@ from .primes import factorize, is_prime, prime_index
 
 @total_ordering
 class _Omega:
-    """The infinite exponent symbol.  A process-wide singleton."""
+    """The infinite exponent symbol.  Its one instance is OMEGA, which
+    pickle and copy return by name."""
 
     __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self):
         return "OMEGA"
 
     def __reduce__(self):
-        return (_Omega, ())
+        return "OMEGA"
 
     # OMEGA absorbs addition and lies above every natural; an int on the
     # left defers to the reflected method, so 3 + OMEGA and 3 < OMEGA work,

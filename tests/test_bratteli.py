@@ -125,6 +125,16 @@ class TestValidation:
         below = BratteliDiagram((1, 0, 1), ((), ((),)))
         assert [(v.kind, v.level) for v in below.violations()] == [("zero-column", 1), ("zero-row", 2)]
 
+    @pytest.mark.parametrize("lookup, message", [
+        (lambda: FINDIM.width_at(2), "level 2 exceeds the 1 levels of a finite diagram"),
+        (lambda: FINDIM.matrix_at(2), "level 2 exceeds the 1 levels of a finite diagram"),
+        (lambda: E55.matrix_at(0), "matrix index must be >= 1, got 0"),
+    ], ids=["width-past-the-end", "matrix-past-the-end", "matrix-zero"])
+    def test_lookups_outside_the_diagram_are_refused(self, lookup, message):
+        with pytest.raises(DiagramError) as info:
+            lookup()
+        assert str(info.value) == message
+
     def test_first_bad_cell_or_row_decides_the_error(self):
         with pytest.raises(ValueError, match="^matrix entries must be integers, got 'x'$"):
             BratteliDiagram((1, 2), (([1, "x"], 5),))
@@ -426,7 +436,8 @@ class TestRevisitIndex:
         depth = clamped(diagram, depth)
         profile = tower_profile(diagram, depth)
         walked = tower_profile(diagram, depth, keep=False)
-        assert (walked.ratios, walked.period, walked.vectors) == (profile.ratios, profile.period, ())
+        assert (walked.ratios, walked.period) == (profile.ratios, profile.period)
+        assert walked.vectors == walked.heights == ()
         # both readings of either walk are the public answers; a walk that
         # kept no vectors refuses a premorphism rather than give part of one
         assert walked.odometer() == profile.odometer() == odometer(diagram, depth)
@@ -1099,6 +1110,15 @@ class TestTailForms:
         assert got == tuple(tuple(sum(a[i][j] * b[j][c] for j in range(k)) for c in range(columns))
                             for i in range(rows))
         assert len(pushes) in ((0, 1) if low == 0 else (0, columns))
+
+    @pytest.mark.parametrize("a, det", [
+        (((7,),), 7),
+        (((0, 1), (1, 0)), -1),  # a row swap flips the sign
+        (((2, 1, 0), (1, 2, 1), (0, 1, 2)), 4),
+        (((1, 2, 3), (2, 4, 5), (3, 6, 7)), 0),  # one step leaves an all-zero first column
+    ])
+    def test_det_by_elimination(self, a, det):
+        assert brat.bratteli._det(a) == det
 
     def test_wide_telescope_pushes_packed_rows_once(self, monkeypatch):
         rng = random.Random(100)

@@ -251,6 +251,18 @@ class TestPremorphism:
         status, out, _ = run(capsys, "premorphism", E55, "--depth", "3", "--verify")
         assert (status, out) == (0, '{"verified": true, "depth": 3}\n')
 
+    def test_verify_catches_a_corrupted_walk(self, capsys, monkeypatch):
+        walk = brat.bratteli.tower_profile
+
+        def corrupted(diagram, depth):  # n_2 doubled breaks the square from level 1 to 2
+            profile = walk(diagram, depth)
+            vectors = [*profile.vectors[:2], tuple(2 * x for x in profile.vectors[2]), *profile.vectors[3:]]
+            return brat.bratteli.TowerProfile(profile.ratios, tuple(vectors), profile.period)
+
+        monkeypatch.setattr(brat.bratteli, "tower_profile", corrupted)
+        status, out, _ = run(capsys, "premorphism", E55, "--depth", "3", "--verify")
+        assert (status, out) == (1, '{"verified": false, "level": 1, "kind": "commutativity"}\n')
+
 
 class TestEmbed:
     def test_yes(self, capsys):
@@ -378,6 +390,10 @@ class TestDivide:
     def test_negative_entries_rejected(self, capsys):
         status, _, err = run(capsys, "divide", E55, "--stage", "1", "--vector", "1,-1", "--m", "2")
         assert status == 2 and "nonnegative" in json.loads(err)["error"]["message"]
+
+    def test_bad_m(self, capsys):
+        assert run(capsys, "divide", E55, "--stage", "1", "--vector", "1,1", "--m", "0") == (
+            2, "", '{"error": {"type": "input", "message": "--m must be a positive integer"}}\n')
 
 
 class TestTelescope:
@@ -528,6 +544,16 @@ class TestGroup:
     def test_outside_group_element(self, capsys):
         status, _, err = run(capsys, "group", "rsub", "catalog:quadratic-sqrt2", "--g", "1/3,0")
         assert status == 2 and "outside the group" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (("catalog:cone-2-3-unit-2",), "rsub needs --g with a group element"),
+        (("catalog:cone-2-3-unit-2", "--g", "x"), "cyclic group elements are integers, got 'x'"),
+        (("catalog:quadratic-sqrt2", "--g", "1"), "quadratic elements look like 'q,z', got '1'"),
+        (("catalog:quadratic-sqrt2", "--g", "1/0,0"), "bad quadratic element '1/0,0': Fraction(1, 0)"),
+    ], ids=["no-g", "cyclic-not-an-integer", "quadratic-one-part", "quadratic-zero-denominator"])
+    def test_bad_rsub_element_exact_stderr(self, capsys, argv, message):
+        assert run(capsys, "group", "rsub", *argv) == (
+            2, "", '{"error": {"type": "input", "message": "%s"}}\n' % message)
 
 
 class TestCatalog:
@@ -1028,7 +1054,7 @@ HELP_AND_ERRORS = [
     ["mu", E55, "--dep", "3"], ["mu", E55, "--depth=3"], ["mu", E55, "--depth", "3", "--depth", "4"],
     ["group", "rsub", "catalog:cone-2-3-unit-2", "--g", "-3"],
     ["group", "rsub", "catalog:quadratic-sqrt2", "--g=1/2,0"],
-    ["sn", "mul", "{}", "-h"], ["catalog", "example-5.5", "findim-4-6"],
+    ["sn", "mul", "{}", "-h"], ["catalog", "example-5.5", "findim-4-6"], ["premorphism", E55, "--verify=1"],
 ]
 
 
@@ -1068,7 +1094,7 @@ OPTION_NAMES = sorted({name for row in brat.cli._COMMANDS for name, _ in row.arg
     ("telescope", E55, "--cuts=--"),
 ], ids=lambda argv: argv[0])
 def test_an_option_given_as_equals_dash_dash_is_refused(capsys, argv):
-    # argparse drops the "--" of `--name=--` and stores [] as the value
+    # argparse stores `--name=--` as [] before Python 3.13 and as "--" from 3.13 on
     option = argv[-1][:-3]
     assert run(capsys, *argv) == (2, "", '{"error": {"type": "input", "message": '
                                           '"argument %s: expected one argument"}}\n' % option)
@@ -1102,7 +1128,7 @@ def argvs(draw):
 
 @settings(max_examples=1000)
 @given(argvs())
-@example(["theta", E55, "--x=--"])  # argparse stores [] for x on some versions
+@example(["theta", E55, "--x=--"])  # argparse stores [] or "--" for x, by version
 def test_plain_args_are_what_argparse_returns(argv):
     plain = brat.cli._plain_args(argv)
     if plain is not None:

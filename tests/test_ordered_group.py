@@ -10,6 +10,7 @@ from brat.ordered_group import (
     QuadraticIrrationalGroup,
     _residue_minima,
     coprime_divisor_property,
+    group_from_data,
     is_unperforated,
     max_supernatural,
     quadratic_sign,
@@ -314,6 +315,16 @@ class TestQuadraticGroup:
         assert unit_divisor(zgroup, 2) == QuadraticElement(Fraction(3, 4), 2)
         assert unit_divisor(zgroup, 8) is None  # 8 does not divide z = 4
 
+    @given(ordered_groups(), st.integers(1, 6))
+    def test_every_witness_is_positive(self, group, n):
+        # n * x is the positive unit and n > 0, so x is positive with no sign test
+        x = unit_divisor(group, n)
+        if isinstance(x, QuadraticElement):
+            assert (n * x.q, n * x.z) == (group.unit.q, group.unit.z) and group.is_member(x)
+            assert quadratic_sign(x.q, x.z, group.alpha_square) == 1
+        elif x is not None:
+            assert n * x == group.unit and x >= 1
+
     def test_max_supernatural_omega_needs_zero_z(self):
         assert max_supernatural(sqrt2_group()) == DYADIC
         # 1 + 2*sqrt(2): halving once keeps the irrational part integral,
@@ -456,6 +467,21 @@ class TestCoprimeTransfer:
         group = CyclicOrderedGroup((1,), unit)
         if unit_divisor(group, n) is not None and unit_divisor(group, m) is not None:
             assert unit_divisor(group, n * m) is not None
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: group_from_data([2, 3]), "group must be an object, got [2, 3]"),
+    (lambda: unit_divisor(CyclicOrderedGroup((2, 3), 6), 0), "divisor must be a positive integer, got 0"),
+    (lambda: unit_divisor(sqrt2_group(), -2), "divisor must be a positive integer, got -2"),
+    (lambda: rational_subgroup_member(sqrt2_group(), 3), "quadratic group element expected, got 3"),
+    (lambda: representable_with_denominator(0, 1, 2), "m and p must be positive integers"),
+    (lambda: representable_with_denominator(1, 1, 0), "m and p must be positive integers"),
+], ids=["group-not-an-object", "cyclic-divisor-zero", "quadratic-divisor-negative", "quadratic-element-int",
+        "denominator-m-zero", "denominator-p-zero"])
+def test_refusals_name_their_reason(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_is_unperforated():

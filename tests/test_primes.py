@@ -47,6 +47,9 @@ def test_factorize_edge_cases():
     assert factorize(2**10) == {2: 10}
     assert factorize(600851475143) == {71: 1, 839: 1, 1471: 1, 6857: 1}
     assert factorize(3127) == {53: 1, 59: 1}  # rho's batch gcd hits n, so Brent backtracks
+    # rho splits prime powers itself
+    assert factorize(65537**4) == {65537: 4}
+    assert factorize(2147483647**2) == {2147483647: 2}
     with pytest.raises(ValueError):
         factorize(0)
 

@@ -114,10 +114,6 @@ def test_defaults():
     assert (diagram.tail, diagram.name) == (None, None)
     assert PremorphismReport(True) == PremorphismReport(True, None, None)
     assert DivisorClosureReport(True).counterexample is None
-    first = CatalogEntry("a", "diagram", FINDIM, "note")
-    second = CatalogEntry("b", "diagram", FINDIM, "note")
-    assert first.expected == second.expected == {}
-    assert first.expected is not second.expected
     with pytest.raises(TypeError):
         BratteliDiagram((1, 2))
 
@@ -177,3 +173,16 @@ def test_import_loads_neither_dataclasses_nor_inspect():
         loaded = set(proc.stderr.split())
         assert proc.returncode == 0 and proc.stdout and "brat.cli" in loaded
         assert loaded & (UNUSED_AT_START | layers) == set(), argv
+
+
+def test_each_public_name_loads_from_its_submodule(monkeypatch):
+    import importlib
+
+    import brat
+
+    for name in brat.__all__:
+        monkeypatch.delattr(brat, name, raising=False)  # a name read before is cached: load it again
+        assert getattr(brat, name) is getattr(importlib.import_module("brat." + brat._SUBMODULE[name]), name)
+    with pytest.raises(AttributeError) as info:
+        brat.bogus
+    assert str(info.value) == "module 'brat' has no attribute 'bogus'"

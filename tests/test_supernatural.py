@@ -45,7 +45,7 @@ class TestConstruction:
 
     def test_omega_survives_pickle_and_copy(self):
         assert pickle.loads(pickle.dumps(OMEGA)) is OMEGA
-        assert copy.deepcopy(OMEGA) is OMEGA
+        assert copy.copy(OMEGA) is OMEGA and copy.deepcopy(OMEGA) is OMEGA
 
 
 class TestValueContract:
@@ -93,6 +93,7 @@ class TestValueContract:
         assert n.items() == ((2, 3),) and n.exponent(2) == 3
 
     def test_repr_and_str(self):
+        assert repr(OMEGA) == "OMEGA"
         assert repr(SupernaturalNumber()) == "SupernaturalNumber({})"
         assert repr(SupernaturalNumber({5: 1, 2: OMEGA, 3: 2})) == "SupernaturalNumber({2: OMEGA, 3: 2, 5: 1})"
         assert str(SupernaturalNumber({5: 1, 2: OMEGA, 3: 2})) == "2^w*3^2*5"
@@ -101,6 +102,20 @@ class TestValueContract:
     def test_not_equal_to_other_types(self):
         n = SupernaturalNumber({2: 1})
         assert n != ((2, 1),) and n != {2: 1} and n != 2
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SupernaturalNumber.from_int(0), ValueError, "expected a positive integer, got 0"),
+    (lambda: SupernaturalNumber({2: OMEGA, 3: 1}).to_int(), ValueError,
+     "infinite exponent at 2 has no integer value"),
+    (lambda: SupernaturalNumber({2: 1}) * 2, TypeError,
+     "unsupported operand type(s) for *: 'SupernaturalNumber' and 'int'"),
+    (lambda: SupernaturalNumber.inf([]), ValueError, "inf of no supernatural numbers is undefined"),
+], ids=["from-int-zero", "to-int-infinite", "mul-by-int", "inf-of-none"])
+def test_refusals_name_their_reason(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestArithmetic:
