@@ -5,10 +5,10 @@ normalizes fields with `object.__setattr__`, and `as_int` is the check
 its integer fields share.  `clipped` keeps an echoed input short."""
 
 
-def clipped(value, limit: int = 40) -> str:
-    """repr(value), cut to its first `limit` characters plus its length when longer."""
+def clipped(value) -> str:
+    """repr(value), cut to its first 40 characters plus its length when longer."""
     text = repr(value)
-    return text if len(text) <= limit else "%s... (%d characters)" % (text[:limit], len(text))
+    return text if len(text) <= 40 else "%s... (%d characters)" % (text[:40], len(text))
 
 
 def as_int(value, message: str) -> int:

@@ -149,15 +149,8 @@ def _product(a: Matrix, pushes: int):
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    push = _product(a, len(b[0]) if b else 0)
-    if push.func is _mat_vec or min(map(min, b)) < 0:  # a times each column of b, transposed back into rows
-        return tuple(zip(*map(push, zip(*b))))
-    # each row of b packed into one integer of w-byte slots, pushed once: no entry of a b reaches 256**w
-    n, w = len(b[0]), (max(map(sum, a)) * max(map(max, b))).bit_length() // 8 + 1
-    slots = tuple(map(slice, range(0, n * w, w), range(w, n * w + w, w)))
-    rows = push([int.from_bytes(b"".join(map(int.to_bytes, r, repeat(w), repeat("little"))), "little") for r in b])
-    return tuple(tuple(map(int.from_bytes, map(x.to_bytes(n * w, "little").__getitem__, slots), repeat("little")))
-                 for x in rows)
+    # a times each column of b, transposed back into rows
+    return tuple(zip(*map(_product(a, len(b[0]) if b else 0), zip(*b))))
 
 
 class Violation(Record):

@@ -33,18 +33,14 @@ def _emit_error(message: str, kind: str = "input") -> int:
 
 
 def _max_digits() -> int:
-    """Python's int-to-str digit limit; 0, or no such limit before 3.11, means none."""
+    """Python's int-to-str digit limit; 0, or no such limit before 3.10.7, means none."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
-_BATCH_CHARS = 1 << 16  # the size a batch of rows aims at
 
 
 def _json_pieces(payload) -> list[str]:
     """Strings that join to json.dumps(payload, default=str) + "\\n".  Each
-    top-level list of lists goes in batches of rows, sized from the last
-    batch to about _BATCH_CHARS and at most doubling, so no one string holds
-    a large answer.  An integer past the digit limit raises ValueError."""
+    top-level list of lists is encoded one row per string, so no one string
+    holds a large answer.  An integer past the digit limit raises ValueError."""
     encode = json.JSONEncoder(default=str).encode
     if not isinstance(payload, dict) or not all(isinstance(key, str) for key in payload):
         return [encode(payload), "\n"]
@@ -54,13 +50,10 @@ def _json_pieces(payload) -> list[str]:
         if not (isinstance(value, list) and value and all(isinstance(row, list) for row in value)):
             pieces.append(encode(value))
             continue
-        start, rows = 0, 1
-        while start < len(value):
-            text = encode(value[start:start + rows])
-            pieces += [", " if start else "[", text[1:-1]]
-            start += rows
-            rows = max(1, min(2 * rows, rows * _BATCH_CHARS // len(text)))
-        pieces.append("]")
+        pieces.append("[")
+        for row in value:  # the encoder separates items with ", " at every depth
+            pieces += [encode(row), ", "]
+        pieces[-1] = "]"
     return pieces + ["}" if pieces else "{}", "\n"]
 
 
@@ -465,7 +458,7 @@ def main(argv=None) -> int:
         return status
     except ValueError as exc:
         return _emit_error(str(exc))
-    except MemoryError:
+    except (MemoryError, OverflowError):  # OverflowError: a size past sys.maxsize, as of a sieve to a huge prime
         return _emit_error("out of memory", "limit")
 
 

@@ -74,8 +74,6 @@ def semigroup_member(generators: tuple[int, ...], x: int) -> bool:
         return False
     x //= g
     gens = [a // g for a in gens]
-    if gens[0] == 1:
-        return True
     if len(gens) == 2:
         a, b = gens
         return x >= b * (x * pow(b, -1, a) % a)

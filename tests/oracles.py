@@ -285,3 +285,31 @@ def stabilization_stage(number) -> int:
             break
         stage, above = stage - 1, below
     return stage
+
+
+def tensor_odometer(diagram: BratteliDiagram, ratios) -> BratteliDiagram:
+    """D ⊗ O for the odometer O with ratios c_1 ... c_G, G = given_depth:
+    level by level M_n ⊗ [[c_n]] = c_n M_n.  On a repeating tail O repeats
+    c = c_G, so the tail matrix A becomes c A."""
+    matrices = tuple(tuple(tuple(c * x for x in row) for row in matrix)
+                     for c, matrix in zip(ratios, diagram.matrices, strict=True))
+    return BratteliDiagram(diagram.levels, matrices, diagram.tail)
+
+
+def tensor_diagrams(first: BratteliDiagram, second: BratteliDiagram) -> BratteliDiagram:
+    """D1 ⊗ D2: level n holds the pairs of the factors' vertices and
+    M_n = M1_n ⊗ M2_n, the Kronecker product.  A finite factor goes on with
+    identity matrices past its last level, which leaves its algebra as it
+    is, so the product repeats a tail when either factor does."""
+    infinite = first.is_infinite or second.is_infinite
+    depth = max(d.given_depth + (infinite and not d.is_infinite) for d in (first, second))
+
+    def matrix(d, n):
+        if n <= d.given_depth or d.is_infinite:
+            return d.matrix_at(n)
+        k = d.levels[-1]
+        return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+
+    matrices = tuple(tuple(tuple(x * y for x in row1 for y in row2) for row1 in matrix(first, n)
+                           for row2 in matrix(second, n)) for n in range(1, depth + 1))
+    return BratteliDiagram((1, *map(len, matrices)), matrices, REPEAT_LAST if infinite else None)

@@ -3,6 +3,7 @@ from the walk: each compares two computations that share no shortcut,
 so a change to the walk, its tail certificate or its searches that
 breaks one of them shows here."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,10 @@ from brat.bratteli import (
     telescope,
     tower_profile,
 )
+from brat.primes import factorize
+from brat.supernatural import OMEGA, SupernaturalNumber
 from gen import diagrams
+from oracles import tensor_diagrams, tensor_odometer
 
 WIDE = dict(max_width=4, max_depth=5, max_entry=6)
 
@@ -98,3 +102,31 @@ def test_theta_outside_is_never_found_deeper(diagram, extra, denominator):
         return
     except ValueError:
         assert k0_unit_divisor(diagram, denominator, depth + 30) is None
+
+
+@settings(max_examples=200)
+@given(diagrams(**WIDE), st.integers(0, 6), st.data())
+def test_an_odometer_factor_scales_mu_and_keeps_its_exactness(diagram, extra, data):
+    # D ⊗ O has D's primitive vectors and the gcds g_n c_1 ... c_n, so the
+    # same revisit; its period's ratios all carry the tail ratio c
+    ratios = data.draw(st.lists(st.integers(1, 12), min_size=diagram.given_depth, max_size=diagram.given_depth))
+    depth = _depth(diagram, extra)
+    tensored = tensor_odometer(diagram, ratios)
+    assert tower_profile(tensored, depth).vectors == tower_profile(diagram, depth).vectors
+    mu, got = maximal_uhf(diagram, depth), maximal_uhf(tensored, depth)
+    assert got.exactness == mu.exactness
+    expected = mu.value * SupernaturalNumber.from_int(math.prod(ratios) * ratios[-1] ** (depth - len(ratios)))
+    if diagram.is_infinite and mu.exactness == CERTIFIED:
+        expected = SupernaturalNumber({**dict(expected.items()), **dict.fromkeys(factorize(ratios[-1]), OMEGA)})
+    assert got.value == expected
+
+
+@settings(max_examples=200)
+@given(diagrams(max_width=3, max_depth=3, max_entry=4), diagrams(max_width=3, max_depth=3, max_entry=4),
+       st.integers(0, 6))
+def test_mu_of_a_tensor_product_is_a_multiple_of_the_factors_mus(first, second, extra):
+    # n1 | [1] in K0(A1) and n2 | [1] in K0(A2) give n1 n2 | [1 ⊗ 1]; that
+    # the two are equal is not proved, so only divisibility is asserted
+    mus = [maximal_uhf(d, _depth(d, extra)) for d in (first, second, tensor_diagrams(first, second))]
+    if all(mu.exactness == CERTIFIED for mu in mus):
+        assert (mus[0].value * mus[1].value).divides(mus[2].value)
