@@ -168,7 +168,6 @@ class BratteliDiagram(Record):
     levels: tuple[int, ...]
     matrices: tuple[Matrix, ...]
     tail: Optional[str] = None
-    name: Optional[str] = None
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(as_int(k, "levels must be integers") for k in self.levels))
@@ -243,13 +242,11 @@ class BratteliDiagram(Record):
         return self
 
     def to_data(self) -> dict[str, object]:
-        data: dict[str, object] = {}
-        if self.name is not None:
-            data["name"] = self.name
-        data["levels"] = list(self.levels)
-        data["matrices"] = [[list(row) for row in m] for m in self.matrices]
-        data["tail"] = self.tail if self.tail else "none"
-        return data
+        return {
+            "levels": list(self.levels),
+            "matrices": [[list(row) for row in m] for m in self.matrices],
+            "tail": self.tail if self.tail else "none",
+        }
 
     @classmethod
     def from_data(cls, data) -> "BratteliDiagram":
@@ -263,10 +260,7 @@ class BratteliDiagram(Record):
         tail = data.get("tail")
         if tail in (None, "none", ""):
             tail = None
-        name = data.get("name")
-        if name is not None:
-            name = str(name)
-        return cls(tuple(levels), tuple(matrices), tail, name)
+        return cls(tuple(levels), tuple(matrices), tail)
 
 
 class TowerProfile(Record):

@@ -108,7 +108,7 @@ def get_entry(name: str) -> CatalogEntry:
             kind, payload = "group", group_from_data(data)
         else:
             from .bratteli import BratteliDiagram
-            kind, payload = "diagram", BratteliDiagram.from_data({**data, "name": name})
+            kind, payload = "diagram", BratteliDiagram.from_data(data)
         # a JSON round trip copies `expected`, so no caller can change the table
         return CatalogEntry(name, kind, payload, entry["note"], json.loads(json.dumps(entry["expected"])))
     if name.startswith("uhf-"):
@@ -118,13 +118,12 @@ def get_entry(name: str) -> CatalogEntry:
         except ValueError:  # more digits than Python's int-to-str limit
             n = 0
         if n >= 1 and str(n) == suffix:
-            from .bratteli import BratteliDiagram, uhf_diagram
+            from .bratteli import uhf_diagram
             number = SupernaturalNumber.from_int(n)
-            diagram = uhf_diagram(number)
             return CatalogEntry(
                 name=name,
                 kind="diagram",
-                payload=BratteliDiagram(diagram.levels, diagram.matrices, diagram.tail, name),
+                payload=uhf_diagram(number),
                 note="single-vertex diagram of the UHF algebra with "
                      "supernatural number %s" % number,
                 expected={

@@ -37,13 +37,13 @@ def _max_digits() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-def _json_pieces(payload) -> list[str]:
-    """Strings that join to json.dumps(payload, default=str) + "\\n".  Each
-    top-level list of lists is encoded one row per string, so no one string
-    holds a large answer.  An integer past the digit limit raises ValueError."""
+def _json_pieces(payload: dict) -> list[str]:
+    """Strings that join to json.dumps(payload, default=str) + "\\n" for a
+    non-empty dict with str keys, the shape of every handler's JSON answer.
+    Each top-level list of lists is encoded one row per string, so no one
+    string holds a large answer.  An integer past the digit limit raises
+    ValueError."""
     encode = json.JSONEncoder(default=str).encode
-    if not isinstance(payload, dict) or not all(isinstance(key, str) for key in payload):
-        return [encode(payload), "\n"]
     pieces = []
     for key, value in payload.items():
         pieces += [", " if pieces else "{", encode(key), ": "]
@@ -54,7 +54,7 @@ def _json_pieces(payload) -> list[str]:
         for row in value:  # the encoder separates items with ", " at every depth
             pieces += [encode(row), ", "]
         pieces[-1] = "]"
-    return pieces + ["}" if pieces else "{}", "\n"]
+    return pieces + ["}", "\n"]
 
 
 def _catalog_entry(name: str):
@@ -133,8 +133,8 @@ def _parse_group_element(group, text: str):
 
 
 # -- handlers: (args, loaded source or None, resolved depth or None) ->
-#    (exit status, payload); a str payload is written as is, anything
-#    else as one JSON line --------------------------------------------------
+#    (exit status, payload); a str payload is written as is, a dict as
+#    one JSON line ----------------------------------------------------------
 
 def _stage_witness(witness, depth: int):
     if witness is None:
@@ -158,13 +158,10 @@ def _validate(args, diagram, depth):
 def _towers(args, diagram, depth):
     from .bratteli import tower_profile
     profile = tower_profile(diagram, depth)
-    # main refuses the first gcd past the digit limit: hand it that, build no larger one
-    gcd, digits = 1, _max_digits()
-    bound = 10**digits
-    for ratio in profile.ratios if digits else ():
-        gcd *= ratio
-        if gcd >= bound:
-            return 0, {"gcds": [gcd]}
+    # the gcds form a divisibility chain, so the last one passes the digit limit
+    # exactly when some gcd does; main refuses it, and no height is built
+    if (gcd := math.prod(profile.ratios)) >= 10 ** _max_digits() > 1:
+        return 0, {"gcds": [gcd]}
     return 0, {
         "depth": depth,
         "heights": [list(v) for v in profile.heights],
@@ -292,13 +289,11 @@ def _catalog(args, subject, depth):
     if args.name is None:
         return 0, {"entries": catalog_names(), "patterns": ["uhf-<n>"]}
     entry = _catalog_entry(args.name)
-    return 0, {
-        "name": entry.name,
-        "kind": entry.kind,
-        "note": entry.note,
-        "payload": entry.payload.to_data(),
-        "expected": entry.expected,
-    }
+    payload = entry.payload.to_data()
+    if entry.kind == "diagram":  # a diagram entry's payload leads with the entry's name
+        payload = {"name": entry.name, **payload}
+    return 0, {"name": entry.name, "kind": entry.kind, "note": entry.note, "payload": payload,
+               "expected": entry.expected}
 
 
 # -- the command table ------------------------------------------------------

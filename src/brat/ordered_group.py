@@ -154,8 +154,7 @@ class QuadraticIrrationalGroup(Record):
         if not self.h_number.contains(self.unit.q):
             raise ValueError("unit rational part %s lies outside Q(h)" % (self.unit.q,))
         if quadratic_sign(self.unit.q, self.unit.z, self.alpha_square) <= 0:
-            return_value = "unit %s + %s*sqrt(%d) is not positive" % (self.unit.q, self.unit.z, self.alpha_square)
-            raise ValueError(return_value)
+            raise ValueError("unit %s + %s*sqrt(%d) is not positive" % (self.unit.q, self.unit.z, self.alpha_square))
 
     def to_data(self) -> dict[str, object]:
         return {
@@ -268,8 +267,7 @@ def max_supernatural(group: OrderedGroup) -> Optional[SupernaturalNumber]:
             k = 0
             while k < cap and unit_divisor(group, p ** (k + 1)) is not None:
                 k += 1
-            if k:
-                exps[p] = k
+            exps[p] = k
         number = SupernaturalNumber(exps)
         return number if unit_divisor(group, number.to_int()) is not None else None
     q, z = group.unit.q, group.unit.z
@@ -280,7 +278,7 @@ def max_supernatural(group: OrderedGroup) -> Optional[SupernaturalNumber]:
     else:
         exps = {p: min(vz, _rational_valuation(q, p) + h.exponent(p))
                 for p, vz in factorize(abs(z)).items()}
-    return SupernaturalNumber({p: k for p, k in exps.items() if k > 0})
+    return SupernaturalNumber(exps)
 
 
 def rational_subgroup_member(
@@ -296,8 +294,6 @@ def rational_subgroup_member(
     """
     if isinstance(group, CyclicOrderedGroup):
         g = int(element)
-        if g == 0:
-            return (1, 0)
         d = math.gcd(abs(g), group.unit)
         return (group.unit // d, g // d)
     if not isinstance(element, QuadraticElement):

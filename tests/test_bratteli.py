@@ -222,6 +222,21 @@ class TestTowerProfile:
             assert math.gcd(*profile.heights[n]) == profile.gcds[n]
 
 
+# The three tails that step C of the exact tail decision needs (levels [1, 3, 3]):
+# the head u = h_1, the tail A, the minimal polynomial f of u under A from x^2 down,
+# the prime that gets exponent OMEGA, and the walk's truncated mu at depths 16, 40,
+# 80 and 160.  The prime divides every non-leading coefficient of f, so v_p(g_n)
+# grows without bound, yet the walk never revisits a primitive height.
+STEP_C_TAILS = [
+    ((2, 2, 3), ((1, 4, 1), (2, 3, 1), (3, 2, 3)), (1, -8, 10), 2,
+     ({2: 7}, {2: 19}, {2: 39}, {2: 79})),
+    ((1, 1, 1), ((3, 3, 0), (1, 0, 3), (2, 3, 1)), (1, -3, -12), 3,
+     ({2: 1, 3: 7}, {2: 1, 3: 19}, {2: 1, 3: 39}, {2: 1, 3: 79})),
+    ((1, 1, 1), ((2, 0, 4), (0, 1, 1), (0, 2, 0)), (1, -4, 4), 2,
+     ({2: 15}, {2: 39}, {2: 79}, {2: 159})),
+]
+
+
 class TestMaximalUhf:
     def test_example_certifies_from_depth_two(self):
         r1 = maximal_uhf(E55, 1)
@@ -244,6 +259,28 @@ class TestMaximalUhf:
             r = maximal_uhf(drift, depth)
             assert r.exactness == TRUNCATED
             assert r.value == SupernaturalNumber()
+
+    @pytest.mark.parametrize("u, tail, _, prime, mus", STEP_C_TAILS)
+    def test_step_c_tails_stay_truncated(self, u, tail, _, prime, mus):
+        # the exact per-prime tail decision (ROADMAP item 1, step B or C) flips
+        # each answer to certified with `prime` at OMEGA; until then the
+        # exponent only rises with the depth
+        diagram = BratteliDiagram((1, 3, 3), (tuple((x,) for x in u), tail), REPEAT_LAST)
+        results = [maximal_uhf(diagram, depth) for depth in (16, 40, 80, 160)]
+        assert [(r.value, r.exactness) for r in results] == [(SupernaturalNumber(mu), TRUNCATED) for mu in mus]
+        exponents = [r.value.exponent(prime) for r in results]
+        assert exponents == sorted(set(exponents))
+
+    @pytest.mark.parametrize("u, tail, coefficients, prime, _", STEP_C_TAILS)
+    def test_step_c_tails_minimal_polynomial(self, u, tail, coefficients, prime, _):
+        import sympy
+        a, krylov = sympy.Matrix(tail), [sympy.Matrix(u)]
+        while not sympy.Matrix.hstack(*krylov).nullspace():
+            krylov.append(a * krylov[-1])
+        kernel = sympy.Matrix.hstack(*krylov).nullspace()[0]
+        # the first dependent Krylov vector has coefficient 1 in f
+        assert tuple(c / kernel[-1] for c in reversed(kernel)) == coefficients
+        assert all(c % prime == 0 for c in coefficients[1:])
 
     def test_growing_tail_with_cycle(self):
         doubling = BratteliDiagram((1, 1), (((2,),),), tail=REPEAT_LAST)
@@ -604,8 +641,21 @@ class TestUhfDiagram:
             number = SupernaturalNumber.from_int(n)
             payload = get_entry("uhf-%d" % n).payload
             assert payload.given_depth == stabilization_stage(number)
-            reference = uhf_diagram(number)
-            assert payload == BratteliDiagram(reference.levels, reference.matrices, reference.tail, "uhf-%d" % n)
+            assert payload == uhf_diagram(number)
+
+    def test_catalog_uhf_builds_its_diagram_once(self, monkeypatch):
+        built = []
+        check = BratteliDiagram.__post_init__
+        monkeypatch.setattr(BratteliDiagram, "__post_init__", lambda self: built.append(self) or check(self))
+        entry = get_entry("uhf-360")
+        assert len(built) == 1 and entry.payload.to_data() == {
+            "levels": [1] * 5, "matrices": [[[2]], [[18]], [[10]], [[1]]], "tail": "repeat-last"}
+
+    def test_diagram_data_holds_no_name(self):
+        data = {"levels": [1, 2], "matrices": [[[4], [6]]], "tail": "none"}
+        assert BratteliDiagram._fields == ("levels", "matrices", "tail")
+        assert BratteliDiagram.from_data({"name": "findim-4-6", **data}) == BratteliDiagram.from_data(data)
+        assert BratteliDiagram.from_data({"name": "findim-4-6", **data}).to_data() == data
 
     def test_uhf_1009_smoke(self):
         diagram = get_entry("uhf-1009").payload

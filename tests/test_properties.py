@@ -19,6 +19,7 @@ from brat.bratteli import (
     telescope,
     tower_profile,
 )
+from brat.ordered_group import group_from_data, max_supernatural
 from brat.primes import factorize
 from brat.supernatural import OMEGA, SupernaturalNumber
 from gen import diagrams
@@ -130,3 +131,34 @@ def test_mu_of_a_tensor_product_is_a_multiple_of_the_factors_mus(first, second, 
     mus = [maximal_uhf(d, _depth(d, extra)) for d in (first, second, tensor_diagrams(first, second))]
     if all(mu.exactness == CERTIFIED for mu in mus):
         assert (mus[0].value * mus[1].value).divides(mus[2].value)
+
+
+def test_effros_shen_diagrams_have_mu_one():
+    # K0 of the continued-fraction diagram of an irrational is Z + theta*Z
+    # with unit 1 (Effros and Shen, 1980), so mu is exactly 1: every
+    # [[a,1],[1,0]] has det -1, so no gcd ever grows past the head's 1
+    tails = [(a, ((a, 1), (1, 0))) for a in range(1, 10)]
+    # two-step periods: [[a,1],[1,0]] [[b,1],[1,0]] = [[ab+1,a],[b,1]]
+    tails += [(a, ((a * b + 1, a), (b, 1))) for a in range(1, 10) for b in range(1, 10)]
+    for a, tail in tails:
+        diagram = BratteliDiagram((1, 2, 2), (((a,), (1,)), tail), "repeat-last")
+        assert set(tower_profile(diagram, 200).gcds) == {1}, tail
+        assert maximal_uhf(diagram, 200).value == SupernaturalNumber(), tail
+
+
+def test_the_diagram_side_meets_the_group_side():
+    # the paper's Q(K0(A), [1]) = Q(G, u), checked at the invariant: ratios 3, 3
+    # in front of 2 * [[4,1],[1,0]], the doubled continued-fraction step of
+    # sqrt(5) = [2; 4, 4, ...], against G = Q(2^OMEGA * 3^2) + sqrt(5)*Z with
+    # u = 1, whose maximum supernatural divisor is 2^OMEGA * 3^2; each
+    # truncation of mu divides it and already carries its exponent of 3
+    diagram = BratteliDiagram((1, 1, 1, 2, 2), (((3,),), ((3,),), ((1,), (1,)), ((8, 2), (2, 0))),
+                              "repeat-last")
+    group = group_from_data({"kind": "quadratic", "H": {"2": "inf", "3": 2}, "alpha_square": 5,
+                             "unit": {"k": "1", "z": 0}})
+    bound = max_supernatural(group)
+    assert bound == SupernaturalNumber({2: OMEGA, 3: 2})
+    for depth, expected in ((16, {2: 13, 3: 2}), (60, {2: 57, 3: 2})):
+        mu = maximal_uhf(diagram, depth).value
+        assert mu == SupernaturalNumber(expected)
+        assert mu.divides(bound) and mu.exponent(3) == bound.exponent(3)

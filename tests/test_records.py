@@ -26,13 +26,13 @@ from brat.ordered_group import (
 )
 from brat.supernatural import OMEGA, SupernaturalNumber
 
-FINDIM = BratteliDiagram((1, 2), (((4,), (6,)),), None, "findim-4-6")
+FINDIM = BratteliDiagram((1, 2), (((4,), (6,)),), None)
 HALF = QuadraticElement(Fraction(1, 2), 0)
 
 # one normalized instance per class, as (class, field values in order)
 RECORDS = [
     (Violation, dict(kind="shape", level=1, position=None, message="matrix 1 must be 2x1")),
-    (BratteliDiagram, dict(levels=(1, 2), matrices=(((4,), (6,)),), tail=None, name="findim-4-6")),
+    (BratteliDiagram, dict(levels=(1, 2), matrices=(((4,), (6,)),), tail=None)),
     (TowerProfile, dict(ratios=(2,), vectors=((1,), (2, 3)), period=None)),
     (DimensionVector, dict(stage=1, entries=(2, 3))),
     (MuResult, dict(value=SupernaturalNumber({3: OMEGA}), exactness="certified")),
@@ -110,8 +110,7 @@ def test_pickle_round_trip(cls, fields):
 
 
 def test_defaults():
-    diagram = BratteliDiagram((1, 2), (((4,), (6,)),))
-    assert (diagram.tail, diagram.name) == (None, None)
+    assert BratteliDiagram((1, 2), (((4,), (6,)),)).tail is None
     assert PremorphismReport(True) == PremorphismReport(True, None, None)
     assert DivisorClosureReport(True).counterexample is None
     with pytest.raises(TypeError):
