@@ -5,7 +5,8 @@ level 0 has a single vertex, and the matrix M_n records how many edges
 join each level-(n-1) vertex to each level-n vertex.  Every vertex
 emits at least one edge and, past level 0, receives at least one.  An
 optional "repeat-last" tail extends a diagram with a square final
-matrix to infinite depth.
+matrix to infinite depth.  A diagram that breaks a rule is never built:
+construction raises a DiagramError listing every broken rule.
 
 The product M_n * ... * M_1 counts paths from the root, giving the
 height vector h_n at level n.  Its gcd g_n divides g_{n+1}, and the
@@ -22,10 +23,11 @@ the tail matrix, so (n_{k+1}, r_{k+1}) is a function of n_k; thus
 r_{t+j} = r_{s+j} for all j >= 1, the primes of r_{s+1} ... r_t get
 exponent OMEGA, and no other prime occurs after t; otherwise results are
 "truncated-at-depth".  A hash match n_t = n_s is confirmed by pushing n_s
-again from the root.  Levels past t are replayed, not pushed: O(1) per
-level for the ratios, O(width) for the heights.  Only `towers` and
-`premorphism` keep every n_k; the others hold O(depth) words and one n_k.
-The odometer and the canonical premorphism are two readings of one walk.
+again from the root.  The profile keeps levels up to t and the period;
+later levels are replayed when read, O(1) per level for the ratios and
+O(width) for the heights, so `mu`, `embed` and a `theta` miss stop at t.
+Only `towers` and `premorphism` keep every n_k.  The odometer and the
+canonical premorphism are two readings of one walk.
 
 The first-hit searches stop at a horizon on a repeating tail, and a miss
 there is a miss at every depth.  From s0 = max(stage, L) each push applies
@@ -79,7 +81,8 @@ TRUNCATED = "truncated-at-depth"
 
 
 class DiagramError(ValueError):
-    """A structural rule was broken by a diagram or a depth request."""
+    """A structural rule was broken by a diagram or a depth request.  An
+    invalid diagram's error lists every broken rule in `violations`."""
 
 
 def _as_matrix(rows) -> Matrix:
@@ -127,7 +130,7 @@ def _product(a: Matrix, pushes: int):
     (2**b + rows * P) additions per vector; the plain product rows * k
     multiplications per vector.  So they need more than one vector, and
     2**b < (b - 1) * rows for some b, which takes rows > 4."""
-    rows, k = len(a), len(a[0]) if a else 0
+    rows, k = len(a), len(a[0])
     if pushes < 2 or rows <= 4:
         return partial(_mat_vec, a)
     try:
@@ -150,7 +153,7 @@ def _product(a: Matrix, pushes: int):
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     # a times each column of b, transposed back into rows
-    return tuple(zip(*map(_product(a, len(b[0]) if b else 0), zip(*b))))
+    return tuple(zip(*map(_product(a, len(b[0])), zip(*b))))
 
 
 class Violation(Record):
@@ -163,7 +166,7 @@ class Violation(Record):
 
 
 class BratteliDiagram(Record):
-    """Levels, multiplicity matrices, optional repeating tail."""
+    """Levels, multiplicity matrices, optional repeating tail; valid once built."""
 
     levels: tuple[int, ...]
     matrices: tuple[Matrix, ...]
@@ -174,6 +177,10 @@ class BratteliDiagram(Record):
         object.__setattr__(self, "matrices", tuple(_as_matrix(m) for m in self.matrices))
         if self.tail not in (None, REPEAT_LAST):
             raise ValueError("tail must be absent or %r, got %r" % (REPEAT_LAST, self.tail))
+        if problems := self._violations():
+            error = DiagramError("invalid diagram: %s" % problems[0].message)
+            error.violations = problems
+            raise error
 
     @property
     def given_depth(self) -> int:
@@ -203,15 +210,15 @@ class BratteliDiagram(Record):
         raise DiagramError("level %d exceeds the %d levels of a finite diagram"
                            % (n, self.given_depth))
 
-    def violations(self) -> list[Violation]:
-        """All broken structural rules, shallowest first.  Never raises."""
+    def _violations(self) -> list[Violation]:
+        # every broken structural rule, shallowest first; with no levels, only the root's
         found: list[Violation] = []
         if not self.levels or self.levels[0] != 1:
             found.append(Violation("root", 0, None, "level 0 must hold exactly one vertex"))
         if len(self.levels) != len(self.matrices) + 1:
-            found.append(Violation("shape", 0, None,
-                                   "%d levels need %d matrices, got %d"
-                                   % (len(self.levels), len(self.levels) - 1, len(self.matrices))))
+            if self.levels:
+                found.append(Violation("shape", 0, None, "%d levels need %d matrices, got %d"
+                                       % (len(self.levels), len(self.levels) - 1, len(self.matrices))))
             return found
         for n, m in enumerate(self.matrices, start=1):
             rows, cols = self.levels[n], self.levels[n - 1]
@@ -233,13 +240,6 @@ class BratteliDiagram(Record):
                 found.append(Violation("tail", len(self.matrices), None,
                                        "a repeating tail needs a square last matrix"))
         return found
-
-    def check(self) -> "BratteliDiagram":
-        problems = self.violations()
-        if problems:
-            v = problems[0]
-            raise DiagramError("invalid diagram: %s" % v.message)
-        return self
 
     def to_data(self) -> dict[str, object]:
         return {
@@ -264,18 +264,32 @@ class BratteliDiagram(Record):
 
 
 class TowerProfile(Record):
-    """The walk's ratios, primitive heights and tail period, level by level.
+    """A walk to `depth`: ratios and primitive heights up to the first revisit.
 
-    ratios[n-1] = r_n = gcds[n] / gcds[n-1] for n >= 1; vectors[n] is the
-    primitive height n_n = heights[n] / gcds[n]; period is t - s for the
-    first revisit n_t = n_s inside the tail, or None.  gcds and heights
-    are derived from these on first read; a walk that keeps no vectors
-    has vectors == heights == ().
+    walked[n-1] = r_n = gcds[n] / gcds[n-1] and kept[n] = n_n = heights[n] /
+    gcds[n] for n <= t, where t is the first revisit n_t = n_s inside the
+    tail and period = t - s; with no revisit, t = depth and period is None.
+    ratios, vectors, gcds and heights run to `depth`, derived on first read
+    by replaying (s, t]; a walk that keeps no vectors has kept == vectors ==
+    heights == ().
     """
 
-    ratios: tuple[int, ...]
-    vectors: tuple[tuple[int, ...], ...]
-    period: Optional[int] = None
+    walked: tuple[int, ...]
+    kept: tuple[tuple[int, ...], ...]
+    period: Optional[int]
+    depth: int
+
+    def _replayed(self, levels: tuple) -> tuple:
+        # the levels past the walk's end repeat its last period; with no period, no level is past it
+        return levels + tuple(islice(cycle(levels[-(self.period or 1):]), self.depth - len(self.walked)))
+
+    @cached_property
+    def ratios(self) -> tuple[int, ...]:
+        return self._replayed(self.walked)
+
+    @cached_property
+    def vectors(self) -> tuple[tuple[int, ...], ...]:
+        return self._replayed(self.kept)
 
     @cached_property
     def gcds(self) -> tuple[int, ...]:
@@ -288,10 +302,6 @@ class TowerProfile(Record):
         # a factor 1 reuses the other factor's object: 1 * x is a new int
         return tuple(n if g == 1 else tuple(g if x == 1 else g * x for x in n)
                      for g, n in zip(self.gcds, self.vectors))
-
-    @property
-    def depth(self) -> int:
-        return len(self.ratios)
 
     def odometer(self) -> BratteliDiagram:
         """The single-vertex diagram of the ratios.  It keeps a repeating tail
@@ -432,9 +442,8 @@ def _levels(diagram: BratteliDiagram, entries: Sequence[int], stage: int, depth:
     one (content multiplier, primitive vector) pair per level, lazily, so
     a search stops at its first hit.
 
-    The diagram, depth, stage and vector are validated once, in that
-    order, before this returns, so errors surface before any push."""
-    diagram.check()
+    The depth, stage and vector are validated once, in that order, before
+    this returns, so errors surface before any push."""
     _validated_depth(diagram, depth)
     if stage < 0 or stage > depth:
         raise DiagramError("stage %d outside 0..%d" % (stage, depth))
@@ -447,13 +456,13 @@ def _levels(diagram: BratteliDiagram, entries: Sequence[int], stage: int, depth:
 
 def tower_profile(diagram: BratteliDiagram, depth: int, keep: bool = True) -> TowerProfile:
     """Ratios, primitive heights and period down to `depth`, from one walk
-    that stops pushing at the first revisit n_t = n_s in the tail and
-    replays (s, t]; the period is t - s, or None.  The vectors are kept
-    only if `keep`, else `vectors` is ().  A match of hash(n_t) is checked
-    against n_s pushed again from (1,), kept or not; a collision keeps
-    both levels, so t is still the least."""
+    that stops at the first revisit n_t = n_s in the tail; the period is
+    t - s, or None.  The vectors are kept only if `keep`, else `kept` is
+    ().  A match of hash(n_t) is checked against n_s pushed again from
+    (1,), kept or not; a collision keeps both levels, so t is still the
+    least."""
     ratios, vectors, seen, period = [], [], {}, None
-    walk = _levels(diagram, (1,), 0, depth)  # validates the diagram before _horizon reads it
+    walk = _levels(diagram, (1,), 0, depth)  # validates the depth before _horizon reads it
     tail = _horizon(diagram, 0, depth)[0]
     for k, (r, n) in enumerate(walk):
         ratios.append(r)
@@ -464,12 +473,10 @@ def tower_profile(diagram: BratteliDiagram, depth: int, keep: bool = True) -> To
         levels = seen.get(h := hash(n), ())
         s = next((s for s in levels if n == next(islice(_pushed(diagram, (1,), 0, s), s, None))[1]), None)
         if s is not None:
-            ratios += islice(cycle(ratios[s + 1:]), depth - k)
-            vectors += islice(cycle(vectors[s + 1:]), depth - k)
             period = k - s
             break
         seen[h] = levels + (k,)
-    return TowerProfile(tuple(ratios[1:]), tuple(vectors), period)
+    return TowerProfile(tuple(ratios[1:]), tuple(vectors), period, depth)
 
 
 def maximal_uhf(diagram: BratteliDiagram, depth: int) -> MuResult:
@@ -482,17 +489,17 @@ def maximal_uhf(diagram: BratteliDiagram, depth: int) -> MuResult:
     inside the repeating tail, in which case every prime of the last
     period of ratios gets exponent OMEGA.  Anything else is a
     truncation.  Each distinct ratio is factorized once; the gcd, the
-    product of all the ratios, never is.
+    product of all the ratios, never is, nor is a level past the revisit.
     """
     profile = tower_profile(diagram, depth, keep=False)
-    counts = Counter(profile.ratios)
+    counts = Counter(profile.walked)
     factors = {r: factorize(r) for r in counts}
     exps: dict[int, Exponent] = {}
     for r, count in counts.items():
         for p, e in factors[r].items():
             exps[p] = exps.get(p, 0) + e * count
     if profile.period is not None:
-        for r in profile.ratios[-profile.period:]:
+        for r in profile.walked[-profile.period:]:
             exps.update(dict.fromkeys(factors[r], OMEGA))
     exact = profile.period is not None or (not diagram.is_infinite and depth == diagram.given_depth)
     return MuResult(SupernaturalNumber(exps), CERTIFIED if exact else TRUNCATED)
@@ -553,8 +560,6 @@ def verify_premorphism(
     problems and failed equalities are reported separately, each with
     the first offending level.
     """
-    source.check()
-    target.check()
     depth = premorphism.depth
     for n in range(depth + 1):
         m = premorphism.matrices[n]
@@ -679,7 +684,6 @@ def telescope(diagram: BratteliDiagram, cut_points: Sequence[int]) -> BratteliDi
     matrix is a power of the old tail matrix and repeating it continues
     the original diagram in equal chunks.
     """
-    diagram.check()
     cuts = tuple(as_int(c, "cut points must be integers") for c in cut_points)
     if not cuts:
         raise ValueError("at least one cut point is required")

@@ -142,17 +142,15 @@ def _stage_witness(witness, depth: int):
     return 0, {"stage": witness.stage, "vector": list(witness.entries)}
 
 
-def _validate(args, diagram, depth):
-    problems = diagram.violations()
-    if not problems:
-        return 0, {"ok": True}
-    return 1, {
-        "ok": False,
-        "violations": [
+def _validate(args, subject, depth):
+    from .bratteli import DiagramError
+    try:
+        _load(args.source, "diagram")
+    except DiagramError as exc:  # a diagram that breaks a rule is never built
+        return 1, {"ok": False, "violations": [
             {"kind": v.kind, "level": v.level, "position": v.position, "message": v.message}
-            for v in problems
-        ],
-    }
+            for v in exc.violations]}
+    return 0, {"ok": True}
 
 
 def _towers(args, diagram, depth):
@@ -301,7 +299,7 @@ def _catalog(args, subject, depth):
 class _Command(NamedTuple):
     name: str
     help: str
-    source: Optional[str]  # what the "source" positional loads: "diagram", "group" or None
+    source: Optional[str]  # what main loads from "source": "diagram", "group" or None (validate loads its own)
     arguments: tuple       # (name, add_argument options) pairs, in the order the parser adds them
     handler: Callable
 
@@ -315,7 +313,7 @@ _STAGE = ("--stage", {"type": int, "required": True})
 _VECTOR = ("--vector", {"required": True, "help": "comma-separated integers"})
 
 _COMMANDS = (
-    _Command("validate", "check the structural rules of a diagram", "diagram", (_DIAGRAM,), _validate),
+    _Command("validate", "check the structural rules of a diagram", None, (_DIAGRAM,), _validate),
     _Command("towers", "heights, gcds, and ratios per level", "diagram", (_DIAGRAM, _DEPTH), _towers),
     _Command("odometer", "the single-vertex ratio diagram", "diagram",
              (_DIAGRAM, _DEPTH, ("--format", {"choices": ("json", "dot"), "default": "json"})), _odometer),

@@ -15,7 +15,6 @@ PARALLEL_EDGE_LIMIT = 4
 
 def export_dot(diagram: BratteliDiagram, depth: int) -> str:
     """Render the first `depth` levels as a DOT digraph."""
-    diagram.check()
     _validated_depth(diagram, depth)
     lines = ["digraph bratteli {", "  rankdir=TB;", '  node [shape=circle, label=""];']
     for level in range(depth + 1):

@@ -39,7 +39,6 @@ def enumerated_path_heights(diagram: BratteliDiagram, depth: int) -> tuple[tuple
 
     Exponential in depth; callers must keep the diagrams small.
     """
-    diagram.check()
     frontier: list[tuple[int, tuple[int, ...]]] = [(0, ())]
     heights = [(1,)]
     for level in range(1, depth + 1):
@@ -61,7 +60,6 @@ def enumerated_path_heights(diagram: BratteliDiagram, depth: int) -> tuple[tuple
 
 def edge_walk_heights(diagram: BratteliDiagram, depth: int) -> tuple[tuple[int, ...], ...]:
     """Heights by walking materialized edge lists one edge at a time."""
-    diagram.check()
     counts = (1,)
     heights = [counts]
     for level in range(1, depth + 1):
@@ -213,7 +211,6 @@ def reference_divide(diagram: BratteliDiagram, entries, stage: int, m: int, dept
     """(s, v / m) at the first level s in stage..depth where every entry
     of the vector, pushed one materialized edge at a time, divides by m,
     or None.  The whole vector is tested, never its content."""
-    diagram.check()
     counts = tuple(entries)
     for s in range(stage, depth + 1):
         if s > stage:

@@ -58,60 +58,72 @@ def push(diagram, entries, stage, to_stage):
     return v
 
 
+def violations_of(*fields, **named):
+    """The broken rules that building BratteliDiagram(*fields, **named) refuses."""
+    with pytest.raises(DiagramError) as info:
+        BratteliDiagram(*fields, **named)
+    found = info.value.violations
+    assert found and str(info.value) == "invalid diagram: " + found[0].message
+    return found
+
+
 class TestValidation:
     def test_trivial_diagram_is_valid(self):
-        BratteliDiagram((1,), ()).check()
+        assert BratteliDiagram((1,), ()).given_depth == 0
 
     def test_catalog_diagrams_are_valid(self):
-        assert E55.violations() == []
-        assert FINDIM.violations() == []
+        # building validates, so a diagram that breaks a rule never exists
+        for diagram in (E55, FINDIM):
+            assert BratteliDiagram(diagram.levels, diagram.matrices, diagram.tail) == diagram
+        assert not hasattr(BratteliDiagram, "check")
 
     def test_root_violation(self):
-        bad = BratteliDiagram((2, 2), (((1, 0), (0, 1)),))
-        kinds = [v.kind for v in bad.violations()]
+        kinds = [v.kind for v in violations_of((2, 2), (((1, 0), (0, 1)),))]
         assert kinds == ["root"]
 
     def test_matrix_count_mismatch_reported_once(self):
-        bad = BratteliDiagram((1, 2), ())
-        found = bad.violations()
+        found = violations_of((1, 2), ())
         assert len(found) == 1 and found[0].kind == "shape"
 
+    def test_empty_levels_break_only_the_root_rule(self):
+        root = brat.bratteli.Violation("root", 0, None, "level 0 must hold exactly one vertex")
+        assert violations_of((), ()) == [root]
+        assert violations_of((), (((1,),),), REPEAT_LAST) == [root]
+
     def test_matrix_shape(self):
-        bad = BratteliDiagram((1, 2), (((1,),),))
-        v = bad.violations()[0]
+        v = violations_of((1, 2), (((1,),),))[0]
         assert (v.kind, v.level) == ("shape", 1)
 
+    def test_ragged_matrix_with_the_right_row_count(self):
+        assert violations_of((1, 2), (((1,), (1, 1)),)) == [
+            brat.bratteli.Violation("shape", 1, None, "matrix 1 must be 2x1")]
+
     def test_negative_entry(self):
-        bad = BratteliDiagram((1, 1), (((-1,),),))
-        v = bad.violations()[0]
+        v = violations_of((1, 1), (((-1,),),))[0]
         assert (v.kind, v.level, v.position) == ("entry", 1, 0)
 
     def test_zero_row(self):
-        bad = BratteliDiagram((1, 2, 2), (((1,), (1,)), ((0, 0), (1, 1))))
-        v = bad.violations()[0]
+        v = violations_of((1, 2, 2), (((1,), (1,)), ((0, 0), (1, 1))))[0]
         assert (v.kind, v.level, v.position) == ("zero-row", 2, 0)
 
     def test_zero_column(self):
-        bad = BratteliDiagram((1, 2, 2), (((1,), (1,)), ((1, 0), (1, 0))))
-        v = bad.violations()[0]
+        v = violations_of((1, 2, 2), (((1,), (1,)), ((1, 0), (1, 0))))[0]
         assert (v.kind, v.level, v.position) == ("zero-column", 2, 1)
 
     def test_tail_needs_square_last_matrix(self):
-        bad = BratteliDiagram((1, 2), (((1,), (1,)),), tail=REPEAT_LAST)
-        assert [v.kind for v in bad.violations()] == ["tail"]
+        assert [v.kind for v in violations_of((1, 2), (((1,), (1,)),), tail=REPEAT_LAST)] == ["tail"]
 
     def test_tail_needs_a_matrix(self):
-        bad = BratteliDiagram((1,), (), tail=REPEAT_LAST)
-        assert [v.kind for v in bad.violations()] == ["tail"]
+        assert [v.kind for v in violations_of((1,), (), tail=REPEAT_LAST)] == ["tail"]
 
     def test_bad_tail_string_rejected_eagerly(self):
         with pytest.raises(ValueError):
             BratteliDiagram((1,), (), tail="loop")
 
-    def test_check_raises_on_first_violation(self):
-        bad = BratteliDiagram((1, 2, 2), (((1,), (1,)), ((0, 0), (1, 1))))
-        with pytest.raises(DiagramError, match="receives no edge"):
-            bad.check()
+    def test_construction_raises_on_first_violation(self):
+        with pytest.raises(DiagramError, match="^invalid diagram: vertex 0 at level 2 receives no edge$") as info:
+            BratteliDiagram((1, 2, 2), (((1,), (1,)), ((0, 0), (1, 1))))
+        assert [v.kind for v in info.value.violations] == ["zero-row"]
 
     def test_non_integer_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -119,11 +131,10 @@ class TestValidation:
 
     def test_width_zero_level_is_a_zero_column(self):
         # a 0 x 1 matrix has no rows, and its one column is empty
-        bad = BratteliDiagram((1, 0), ((),))
-        assert bad.violations() == [brat.bratteli.Violation(
+        assert violations_of((1, 0), ((),)) == [brat.bratteli.Violation(
             "zero-column", 1, 0, "vertex 0 at level 0 emits no edge")]
-        below = BratteliDiagram((1, 0, 1), ((), ((),)))
-        assert [(v.kind, v.level) for v in below.violations()] == [("zero-column", 1), ("zero-row", 2)]
+        below = violations_of((1, 0, 1), ((), ((),)))
+        assert [(v.kind, v.level) for v in below] == [("zero-column", 1), ("zero-row", 2)]
 
     @pytest.mark.parametrize("lookup, message", [
         (lambda: FINDIM.width_at(2), "level 2 exceeds the 1 levels of a finite diagram"),
@@ -145,7 +156,8 @@ class TestValidation:
 
     @given(diagrams())
     def test_generated_diagrams_are_valid(self, diagram):
-        assert diagram.violations() == []
+        # the strategy builds each diagram, and building validates it
+        assert BratteliDiagram(diagram.levels, diagram.matrices, diagram.tail) == diagram
 
     def test_serialization_round_trip(self):
         for diagram in (E55, FINDIM, BratteliDiagram((1,), ())):
@@ -171,14 +183,17 @@ class TestTowerProfile:
         assert profile.depth == 4
 
     def test_walked_profile_keeps_the_record_contract(self):
-        # the fields are the walk's ratios, primitive heights and period;
-        # heights and gcds are derived on first read and are no fields
-        built = TowerProfile((1, 3, 3), ((1,), (1, 1), (1, 1), (1, 1)), 1)
+        # the fields are what the walk computed: the levels up to the first
+        # revisit n_2 = n_1, the period and the depth asked for; ratios,
+        # vectors, heights and gcds are derived on first read and are no fields
+        built = TowerProfile((1, 3), ((1,), (1, 1), (1, 1)), 1, 3)
         walked = tower_profile(E55, 3)
-        assert TowerProfile._fields == ("ratios", "vectors", "period")
-        assert walked.depth == 3 and "heights" not in vars(walked)
+        assert TowerProfile._fields == ("walked", "kept", "period", "depth")
+        assert walked.depth == 3 and not {"ratios", "vectors", "heights"} & set(vars(walked))
         assert walked == built and hash(walked) == hash(built) and repr(walked) == repr(built)
         assert pickle.loads(pickle.dumps(tower_profile(E55, 3))) == built
+        assert walked.ratios == (1, 3, 3)
+        assert walked.vectors == ((1,), (1, 1), (1, 1), (1, 1))
         assert walked.heights == ((1,), (1, 1), (3, 3), (9, 9))
         assert walked.gcds == (1, 1, 3, 9)
         with pytest.raises(AttributeError):
@@ -203,7 +218,7 @@ class TestTowerProfile:
         tower_profile(E55, 40)  # infinite tail, any depth is fine
 
     def test_invalid_diagram_refused(self):
-        with pytest.raises(DiagramError):
+        with pytest.raises(DiagramError):  # as it is built, so no walk starts
             tower_profile(BratteliDiagram((2,), ()), 0)
 
     @given(diagrams(max_width=3, max_depth=3, max_entry=2))
@@ -1010,8 +1025,7 @@ class TestTelescope:
                 st.sets(st.integers(1, depth), min_size=1, max_size=3), label="cuts"
             )
         )
-        scoped = telescope(diagram, tuple(cuts))
-        assert scoped.violations() == []
+        scoped = telescope(diagram, tuple(cuts))  # built, so valid
         original = tower_profile(diagram, depth)
         scoped_profile = tower_profile(scoped, len(cuts))
         for i, cut in enumerate(cuts, start=1):
@@ -1024,30 +1038,32 @@ class TestTelescope:
             assert maximal_uhf(scoped, len(cuts) + 3).value == N3W
 
 
-# a valid shape with a negative multiplicity
-NEGATIVE = BratteliDiagram((1, 2), (((1,), (-1,)),))
+def negative():
+    """A valid shape with a negative multiplicity, refused as it is built,
+    so before any argument of the call it would be passed to."""
+    return BratteliDiagram((1, 2), (((1,), (-1,)),))
+
+
 INVALID = "invalid diagram: negative multiplicity in row 1"
 
 
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: k0_unit_divisor(NEGATIVE, 2, -1), DiagramError, INVALID),
-        (lambda: k0_unit_divisor(NEGATIVE, 0, 1), ValueError,
-         "divisor must be a positive integer, got 0"),
-        (lambda: rational_subgroup_witness(NEGATIVE, (1,), 7, 1), DiagramError, INVALID),
+        (lambda: k0_unit_divisor(negative(), 2, -1), DiagramError, INVALID),
+        (lambda: k0_unit_divisor(negative(), 0, 1), DiagramError, INVALID),
+        (lambda: rational_subgroup_witness(negative(), (1,), 7, 1), DiagramError, INVALID),
         (lambda: rational_subgroup_witness(E55, (1, 2, 3), 1, -1), DiagramError,
          "depth must be a nonnegative integer, got -1"),
         (lambda: rational_subgroup_witness(E55, (-1, 2), 9, 3), DiagramError, "stage 9 outside 0..3"),
-        (lambda: divide_element(NEGATIVE, (1,), 7, 2, 1), DiagramError, INVALID),
-        (lambda: divide_element(NEGATIVE, (1,), 0, 0, 1), ValueError,
-         "divisor must be a positive integer, got 0"),
+        (lambda: divide_element(negative(), (1,), 7, 2, 1), DiagramError, INVALID),
+        (lambda: divide_element(negative(), (1,), 0, 0, 1), DiagramError, INVALID),
         (lambda: divide_element(FINDIM, (1, 2, 3), 1, 2, 4), DiagramError,
          "depth 4 exceeds the 1 levels of a finite diagram"),
         (lambda: divide_element(E55, (-1, 2), 9, 2, 3), DiagramError, "stage 9 outside 0..3"),
         (lambda: divide_element(E55, (-1, 2, 3), 1, 2, 3), DiagramError,
          "vector length 3 does not match the 2 vertices at level 1"),
-        (lambda: scale_unit_stage(NEGATIVE, Fraction(1, 3), -1), DiagramError, INVALID),
+        (lambda: scale_unit_stage(negative(), Fraction(1, 3), -1), DiagramError, INVALID),
         (lambda: scale_unit_stage(E55, Fraction(1, 2), -1), DiagramError,
          "depth must be a nonnegative integer, got -1"),
     ],

@@ -95,6 +95,54 @@ class TestValidate:
         assert report["violations"][0]["kind"] == "zero-row"
         assert report["violations"][0]["level"] == 1
 
+    @pytest.mark.parametrize("data, violations", [
+        ({"levels": [], "matrices": []}, [("root", 0, None, "level 0 must hold exactly one vertex")]),
+        ({"levels": [1, 2], "matrices": []}, [("shape", 0, None, "2 levels need 1 matrices, got 0")]),
+        ({"levels": [1, 2], "matrices": [[[1], [1, 1]]]}, [("shape", 1, None, "matrix 1 must be 2x1")]),
+        ({"levels": [1, 2], "matrices": [[[1], [-1]]]}, [("entry", 1, 1, "negative multiplicity in row 1")]),
+        ({"levels": [1, 2, 2], "matrices": [[[1], [1]], [[1, 0], [1, 0]]]},
+         [("zero-column", 2, 1, "vertex 1 at level 1 emits no edge")]),
+        ({"levels": [1], "matrices": [], "tail": "repeat-last"},
+         [("tail", 0, None, "a repeating tail needs a last matrix")]),
+        ({"levels": [2, 2, 3], "matrices": [[[1, -1], [0, 0]], [[0, 0], [1, 0]]], "tail": "repeat-last"}, [
+            ("root", 0, None, "level 0 must hold exactly one vertex"),
+            ("entry", 1, 0, "negative multiplicity in row 0"),
+            ("zero-row", 1, 1, "vertex 1 at level 1 receives no edge"),
+            ("shape", 2, None, "matrix 2 must be 3x2"),
+            ("tail", 2, None, "a repeating tail needs a square last matrix")]),
+    ], ids=["empty-levels", "matrix-count", "ragged", "entry", "zero-column", "tail", "every-rule"])
+    def test_prints_the_violations_that_building_refuses(self, capsys, tmp_path, data, violations):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        status, out, err = run(capsys, "validate", str(path))
+        keys = ("kind", "level", "position", "message")
+        assert (status, json.loads(out), err) == (1, {"ok": False, "violations": [
+            dict(zip(keys, v)) for v in violations]}, "")
+        with pytest.raises(brat.bratteli.DiagramError) as info:
+            BratteliDiagram.from_data(data)
+        assert [tuple(map(v.__getattribute__, keys)) for v in info.value.violations] == violations
+
+
+# a diagram that breaks a rule is refused when it is read, before any other argument
+NEGATIVE = {"levels": [1, 2], "matrices": [[[1], [-1]]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("k0-divides", "--n", "0"),
+    ("divide", "--stage", "0", "--vector", "1", "--m", "0"),
+    ("divide", "--stage", "0", "--vector", "x", "--m", "2"),
+    ("rsub", "--stage", "0", "--vector", "x"),
+    ("theta", "--x", "nope"),
+    ("telescope", "--cuts", "x"),
+    ("embed", "--uhf", "nope"),
+], ids=lambda argv: " ".join(argv))
+def test_an_invalid_diagram_is_reported_before_a_bad_operand(capsys, tmp_path, argv):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(NEGATIVE))
+    status, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (status, out, json.loads(err)) == (2, "", {"error": {
+        "type": "input", "message": "invalid diagram: negative multiplicity in row 1"}})
+
 
 class TestTowers:
     def test_golden(self, capsys):
@@ -256,7 +304,7 @@ class TestPremorphism:
         def corrupted(diagram, depth):  # n_2 doubled breaks the square from level 1 to 2
             profile = walk(diagram, depth)
             vectors = [*profile.vectors[:2], tuple(2 * x for x in profile.vectors[2]), *profile.vectors[3:]]
-            return brat.bratteli.TowerProfile(profile.ratios, tuple(vectors), profile.period)
+            return brat.bratteli.TowerProfile(profile.ratios, tuple(vectors), None, depth)
 
         monkeypatch.setattr(brat.bratteli, "tower_profile", corrupted)
         status, out, _ = run(capsys, "premorphism", E55, "--depth", "3", "--verify")
@@ -819,14 +867,9 @@ def test_deep_rsub_stops_at_its_first_hit():
         0, '{"member": true, "stage": 1, "lambda": "1", "m": 1, "q": 1}\n', "")
 
 
-@pytest.mark.parametrize("argv", [
-    ("rsub", E55, "--stage", "1", "--vector", "1,1"),
-    ("rsub", E55, "--stage", "1", "--vector", "2,1"),
-    ("k0-divides", E55, "--n", "9"),
-    ("divide", E55, "--stage", "1", "--vector", "3,6", "--m", "9"),
-], ids=lambda argv: argv[0] + ":" + argv[-1])
-def test_witness_searches_validate_once_and_build_no_profile(monkeypatch, capsys, argv):
-    calls = {"check": 0, "tower_profile": 0}
+def builds(monkeypatch, capsys, argv):
+    """Diagrams built and tower profiles walked while `brat argv` answers."""
+    calls = {"__post_init__": 0, "tower_profile": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -834,11 +877,58 @@ def test_witness_searches_validate_once_and_build_no_profile(monkeypatch, capsys
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(BratteliDiagram, "check", counted("check", BratteliDiagram.check))
+    monkeypatch.setattr(BratteliDiagram, "__post_init__", counted("__post_init__", BratteliDiagram.__post_init__))
     monkeypatch.setattr(brat.bratteli, "tower_profile", counted("tower_profile", brat.bratteli.tower_profile))
     status, _, err = run(capsys, *argv)
-    assert status in (0, 1) and err == ""
-    assert calls == {"check": 1, "tower_profile": 0}
+    assert status in (0, 1, 2) and (err == "") == (status != 2)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ("rsub", E55, "--stage", "1", "--vector", "1,1"),
+    ("rsub", E55, "--stage", "1", "--vector", "2,1"),
+    ("k0-divides", E55, "--n", "9"),
+    ("divide", E55, "--stage", "1", "--vector", "3,6", "--m", "9"),
+], ids=lambda argv: argv[0] + ":" + argv[-1])
+def test_witness_searches_validate_once_and_build_no_profile(monkeypatch, capsys, argv):
+    # building a diagram validates it, so one build is one validation
+    assert builds(monkeypatch, capsys, argv) == {"__post_init__": 1, "tower_profile": 0}
+
+
+@pytest.mark.parametrize("argv, counts", [
+    (("premorphism", E55, "--verify"), {"__post_init__": 2, "tower_profile": 1}),  # the diagram and its odometer
+    (("theta", E55, "--x", "1/2"), {"__post_init__": 1, "tower_profile": 1}),  # a miss asks embed's question
+    (("validate", E55), {"__post_init__": 1, "tower_profile": 0}),
+], ids=["premorphism-verify", "theta-miss", "validate"])
+def test_each_request_builds_and_validates_its_diagrams_once(monkeypatch, capsys, argv, counts):
+    assert builds(monkeypatch, capsys, argv) == counts
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("rsub", E55, "--stage", "-1", "--vector", "1,1"), "stage -1 outside 0..16"),
+    (("group", "divides", "catalog:cone-2-3-unit-2", "--n", "0"), "divides needs --n with a positive integer"),
+], ids=["rsub-negative-stage", "group-divides-zero"])
+def test_operand_errors(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", json.dumps({"error": {"type": "input", "message": message}}) + "\n")
+
+
+def test_cyclic_maxsn_exponent_reaches_the_units(capsys, tmp_path):
+    # every power of 2 up to the unit's 2**2 divides it, so the scan stops at the cap
+    path = tmp_path / "integers.json"
+    path.write_text(json.dumps({"kind": "cyclic", "generators": [1], "unit": 4}))
+    assert run(capsys, "group", "maxsn", str(path)) == (0, '{"maxsn": {"2": 2}}\n', "")
+
+
+@pytest.mark.parametrize("argv, status, out, err", [
+    (("mu",), 0, '{"mu": {"3": "inf"}, "exactness": "certified"}\n', ""),
+    (("embed", "--uhf", '{"3":5}'), 0, '{"embeds": "yes", "depth": 100000000000000000000}\n', ""),
+    (("theta", "--x", "1/2"), 2, "", '{"error": {"type": "input", "message": '
+                                     '"1/2 lies outside the rational group of the invariant"}}\n'),
+], ids=["mu", "embed", "theta-miss"])
+def test_a_repeating_tail_stops_at_its_revisit_whatever_the_depth(argv, status, out, err):
+    # the profile keeps the levels up to the first revisit, not one word per level
+    proc = capped_brat(argv[0], E55, "--depth", str(10**20), *argv[1:])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, out, err)
 
 
 def test_deep_constant_tail_answers_under_the_memory_cap():

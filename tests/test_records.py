@@ -33,7 +33,7 @@ HALF = QuadraticElement(Fraction(1, 2), 0)
 RECORDS = [
     (Violation, dict(kind="shape", level=1, position=None, message="matrix 1 must be 2x1")),
     (BratteliDiagram, dict(levels=(1, 2), matrices=(((4,), (6,)),), tail=None)),
-    (TowerProfile, dict(ratios=(2,), vectors=((1,), (2, 3)), period=None)),
+    (TowerProfile, dict(walked=(2,), kept=((1,), (2, 3)), period=None, depth=1)),
     (DimensionVector, dict(stage=1, entries=(2, 3))),
     (MuResult, dict(value=SupernaturalNumber({3: OMEGA}), exactness="certified")),
     (Premorphism, dict(level_map=(0, 1), matrices=(((1,),), ((2,), (3,))))),
@@ -131,6 +131,7 @@ def test_post_init_normalizes():
     (lambda: BratteliDiagram((1,), (), "loop"), "tail must be absent"),
     (lambda: BratteliDiagram((1, 1), (((True,),),)), "matrix entries must be integers"),
     (lambda: Premorphism((1,), (((1,),),)), "level map must start at 0"),
+    (lambda: Premorphism((), ()), "^level map must start at 0$"),  # an empty level map
     (lambda: Premorphism((0, 2, 1), (((1,),),) * 3), "nondecreasing"),
     (lambda: Premorphism((0, 1), (((1,),),)), "one matrix per mapped level"),
     (lambda: Premorphism((0,), (((2,),),)), "level-0 matrix"),

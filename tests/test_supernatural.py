@@ -29,6 +29,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SupernaturalNumber({1: 1})
 
+    def test_rejects_a_bool_or_str_prime_key(self):
+        # True == 1 is an int, but no spelling of a prime; from_data alone reads strings
+        with pytest.raises(ValueError, match="^supernatural keys must be primes, got True$"):
+            SupernaturalNumber({True: 1})
+        with pytest.raises(ValueError, match="^supernatural keys must be primes, got '2'$"):
+            SupernaturalNumber({"2": 1})
+
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
             SupernaturalNumber({2: -1})
