@@ -63,6 +63,7 @@ in a form the walk builds once, chosen from A by an operation count:
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from functools import cached_property, partial, reduce
 from itertools import accumulate, chain, cycle, islice, repeat
@@ -281,7 +282,9 @@ class TowerProfile(Record):
 
     def _replayed(self, levels: tuple) -> tuple:
         # the levels past the walk's end repeat its last period; with no period, no level is past it
-        return levels + tuple(islice(cycle(levels[-(self.period or 1):]), self.depth - len(self.walked)))
+        if (past := self.depth - len(self.walked)) > sys.maxsize:  # more than any tuple holds
+            raise OverflowError("%d levels past the walk" % past)
+        return levels + tuple(islice(cycle(levels[-(self.period or 1):]), past))
 
     @cached_property
     def ratios(self) -> tuple[int, ...]:

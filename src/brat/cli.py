@@ -78,7 +78,7 @@ def _load(source: str, want: str):
             data = json.load(handle)
     except OSError as exc:
         raise InputError("cannot read %r: %s" % (source, exc)) from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply to decode
         raise InputError("bad JSON in %r: %s" % (source, exc)) from None
     if want == "diagram":
         from .bratteli import BratteliDiagram
@@ -96,7 +96,7 @@ def _depth_for(diagram: BratteliDiagram, requested) -> int:
 def _parse_supernatural(text: str) -> SupernaturalNumber:
     try:
         return SupernaturalNumber.from_data(json.loads(text))
-    except (json.JSONDecodeError, ValueError) as exc:
+    except (json.JSONDecodeError, ValueError, RecursionError) as exc:
         raise InputError("bad supernatural number %s: %s" % (clipped(text), exc)) from None
 
 

@@ -216,6 +216,8 @@ class TestTowerProfile:
         with pytest.raises(DiagramError):
             tower_profile(E55, True)
         tower_profile(E55, 40)  # infinite tail, any depth is fine
+        with pytest.raises(OverflowError):  # the walk stops at its revisit, but no tuple holds 10**20 ratios
+            tower_profile(E55, 10**20).ratios
 
     def test_invalid_diagram_refused(self):
         with pytest.raises(DiagramError):  # as it is built, so no walk starts

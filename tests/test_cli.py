@@ -73,6 +73,9 @@ CATALOG_GOLDENS = {
     ),
 }
 
+# a JSON array nested past the decoder's recursion limit on every supported Python
+NESTED = "[" * 100000 + "]" * 100000
+
 
 def run(capsys, *argv):
     status = main(list(argv))
@@ -705,6 +708,19 @@ class TestLoading:
         status, _, err = run(capsys, "mu", str(path))
         assert status == 2 and "bad JSON" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ("mu", "FILE"), ("validate", "FILE"), ("group", "maxsn", "FILE"),
+        ("sn", "mul", NESTED, '{"2":1}'), ("embed", E55, "--uhf", NESTED),
+    ], ids=["mu", "validate", "group-maxsn", "sn-mul", "embed-uhf"])
+    def test_json_nested_too_deeply_is_an_input_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text(NESTED)
+        echoed = "'%s... (200002 characters)" % ("[" * 39)  # the operand, clipped
+        source = "bad JSON in %r" % str(path) if "FILE" in argv else "bad supernatural number " + echoed
+        message = source + ": maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+        argv = [str(path) if word == "FILE" else word for word in argv]
+        assert run(capsys, *argv) == (2, "", json.dumps({"error": {"type": "input", "message": message}}) + "\n")
+
     def test_kind_mismatch(self, capsys):
         status, _, err = run(capsys, "mu", "catalog:cone-2-3-unit-6")
         assert status == 2 and "is a group, not a diagram" in json.loads(err)["error"]["message"]
@@ -929,6 +945,14 @@ def test_a_repeating_tail_stops_at_its_revisit_whatever_the_depth(argv, status, 
     # the profile keeps the levels up to the first revisit, not one word per level
     proc = capped_brat(argv[0], E55, "--depth", str(10**20), *argv[1:])
     assert (proc.returncode, proc.stdout, proc.stderr) == (status, out, err)
+
+
+@pytest.mark.parametrize("command", ["towers", "odometer", "premorphism"])
+def test_an_answer_of_more_levels_than_sys_maxsize_is_a_limit_error(command):
+    # the walk stops at its revisit, but these answers hold an entry per level
+    proc = capped_brat(command, E55, "--depth", str(10**20))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert json.loads(proc.stderr) == {"error": {"type": "limit", "message": "out of memory"}}
 
 
 def test_deep_constant_tail_answers_under_the_memory_cap():

@@ -420,6 +420,8 @@ class TestScaleUnit:
     def test_unsupported_on_perforated_cone(self):
         with pytest.raises(ValueError, match="unsupported"):
             scale_unit(CyclicOrderedGroup((2, 3), 6), Fraction(1, 2))
+        with pytest.raises(ValueError, match="unsupported"):
+            scale_unit(sqrt2_group(), Fraction(1, 2))
 
     @given(st.integers(1, 10**6), st.data())
     def test_group_morphism_laws(self, unit, data):

@@ -136,7 +136,9 @@ def test_post_init_normalizes():
     (lambda: Premorphism((0, 1), (((1,),),)), "one matrix per mapped level"),
     (lambda: Premorphism((0,), (((2,),),)), "level-0 matrix"),
     (lambda: CyclicOrderedGroup((0, 3), 3), "generators must be positive"),
+    (lambda: CyclicOrderedGroup((), 1), "^generators must be positive integers, got \\(\\)$"),
     (lambda: CyclicOrderedGroup((2, 3), 1), "not in the positive cone"),
+    (lambda: CyclicOrderedGroup((2, 3), 0), "unit 0 is not"),  # 0 is in the semigroup, but not positive
     (lambda: QuadraticElement(Fraction(1), 1.5), "integer coefficient expected"),
     (lambda: QuadraticIrrationalGroup(SupernaturalNumber({2: OMEGA}), 4, HALF), "square-free"),
     (lambda: QuadraticIrrationalGroup(SupernaturalNumber({2: OMEGA}), 2,

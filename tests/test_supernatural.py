@@ -266,6 +266,8 @@ class TestSerialization:
             SupernaturalNumber.from_data({"2": "infinity"})
         with pytest.raises(ValueError):
             SupernaturalNumber.from_data({"2": 1.5})
+        with pytest.raises(ValueError, match="bad exponent True"):
+            SupernaturalNumber.from_data({"2": True})
         with pytest.raises(ValueError):
             SupernaturalNumber.from_data([1, 2])
 
