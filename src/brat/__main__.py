@@ -1,4 +1,4 @@
-from .cli import run
+from .cli import main
 
 if __name__ == "__main__":
-    run()
+    raise SystemExit(main())

@@ -12,9 +12,9 @@ def clipped(value) -> str:
 
 
 def as_int(value, message: str) -> int:
-    """`value` if it is an int and not a bool; else ValueError("<message>, got <value>")."""
+    """`value` if it is an int and not a bool; else ValueError("<message>, got <value, clipped>")."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError("%s, got %r" % (message, value))
+        raise ValueError("%s, got %s" % (message, clipped(value)))
     return value
 
 

@@ -17,14 +17,17 @@ product of the r_n is its isomorphism class.
 
 The walk carries level k as r_k = gcd(M_k n_{k-1}) and the primitive
 n_k = M_k n_{k-1} / r_k, so h_k = g_k n_k: no full height is pushed.
-Infinite tails are exact: "certified" means the walk met a first revisit
-n_t = n_s, L = given_depth - 1 <= s < t.  From L on each step applies
-the tail matrix, so (n_{k+1}, r_{k+1}) is a function of n_k; thus
-r_{t+j} = r_{s+j} for all j >= 1, the primes of r_{s+1} ... r_t get
-exponent OMEGA, and no other prime occurs after t; otherwise results are
+"Certified" means the walk's record has a period: 0 for a finite diagram
+walked to its last level, or t - s for a first revisit n_t = n_s,
+L = given_depth - 1 <= s < t.  From L on each step applies the tail
+matrix, so (n_{k+1}, r_{k+1}) is a function of n_k; thus r_{t+j} =
+r_{s+j} for all j >= 1, the primes of r_{s+1} ... r_t get exponent
+OMEGA, and no other prime occurs after t.  With no period, results are
 "truncated-at-depth".  A hash match n_t = n_s is confirmed by pushing n_s
-again from the root.  The profile keeps levels up to t and the period;
-later levels are replayed when read, O(1) per level for the ratios and
+again from the root.  The record keeps levels up to t and gives v_p of
+the invariant at any prime: `embed` and a `theta` miss read N's primes
+and factor no ratio, and `mu` factors each distinct ratio once.  Later
+levels are replayed when read, O(1) per level for the ratios and
 O(width) for the heights, so `mu`, `embed` and a `theta` miss stop at t.
 Only `towers` and `premorphism` keep every n_k.  The odometer and the
 canonical premorphism are two readings of one walk.
@@ -56,22 +59,20 @@ in a form the walk builds once, chosen from A by an operation count:
   first term stays at the size of det(A) while the heights grow.  The
   walk computes det(A), exactly and fraction-free, at the first tail
   push whose plain gcd, about H**2 bit operations for H-bit entries,
-  would cost more than the elimination.  A singular A, or a vector that
-  is zero, keeps the plain gcd.
+  would cost more than the elimination.  A singular A keeps the plain gcd.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
 from functools import cached_property, partial, reduce
 from itertools import accumulate, chain, cycle, islice, repeat
 from operator import add, lshift, mul, neg, or_
 from typing import Optional, Sequence
 
-from ._record import Record, as_int
-from .primes import factorize, prime_index
+from ._record import Record, as_int, clipped
+from .primes import factorize, prime_index, valuation
 from .supernatural import OMEGA, Exponent, SupernaturalNumber
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -177,7 +178,7 @@ class BratteliDiagram(Record):
         object.__setattr__(self, "levels", tuple(as_int(k, "levels must be integers") for k in self.levels))
         object.__setattr__(self, "matrices", tuple(_as_matrix(m) for m in self.matrices))
         if self.tail not in (None, REPEAT_LAST):
-            raise ValueError("tail must be absent or %r, got %r" % (REPEAT_LAST, self.tail))
+            raise ValueError("tail must be absent or %r, got %s" % (REPEAT_LAST, clipped(self.tail)))
         if problems := self._violations():
             error = DiagramError("invalid diagram: %s" % problems[0].message)
             error.violations = problems
@@ -252,7 +253,7 @@ class BratteliDiagram(Record):
     @classmethod
     def from_data(cls, data) -> "BratteliDiagram":
         if not isinstance(data, dict):
-            raise ValueError("diagram must be an object, got %r" % (data,))
+            raise ValueError("diagram must be an object, got %s" % clipped(data))
         try:
             levels = list(data["levels"])
             matrices = list(data["matrices"])
@@ -269,7 +270,8 @@ class TowerProfile(Record):
 
     walked[n-1] = r_n = gcds[n] / gcds[n-1] and kept[n] = n_n = heights[n] /
     gcds[n] for n <= t, where t is the first revisit n_t = n_s inside the
-    tail and period = t - s; with no revisit, t = depth and period is None.
+    tail and period = t - s.  With no revisit t = depth, and period is 0 for
+    a finite diagram walked to its last level, else None (a truncation).
     ratios, vectors, gcds and heights run to `depth`, derived on first read
     by replaying (s, t]; a walk that keeps no vectors has kept == vectors ==
     heights == ().
@@ -305,6 +307,14 @@ class TowerProfile(Record):
         # a factor 1 reuses the other factor's object: 1 * x is a new int
         return tuple(n if g == 1 else tuple(g if x == 1 else g * x for x in n)
                      for g, n in zip(self.gcds, self.vectors))
+
+    def exponent(self, p: int) -> Exponent:
+        """v_p of the invariant at `depth`, for a prime p: OMEGA when p
+        divides a ratio of the last period, which recurs forever, else v_p
+        of the product of the walked ratios.  No ratio is factorized."""
+        if self.period and any(r % p == 0 for r in self.walked[-self.period:]):
+            return OMEGA
+        return sum(valuation(r, p) for r in self.walked if r % p == 0)
 
     def odometer(self) -> BratteliDiagram:
         """The single-vertex diagram of the ratios.  It keeps a repeating tail
@@ -430,7 +440,7 @@ def _pushed(diagram: BratteliDiagram, v: tuple[int, ...], stage: int, depth: int
     for _ in range(tail, depth + 1):
         v = push(v)
         if det is None and max(map(int.bit_length, v)) ** 2 >= cost:
-            det = _det(a) if any(v) else 0
+            det = _det(a)
         r, v = _split(v, math.gcd(det, *v) if det else math.gcd(*v))
         yield r, v
 
@@ -460,12 +470,13 @@ def _levels(diagram: BratteliDiagram, entries: Sequence[int], stage: int, depth:
 def tower_profile(diagram: BratteliDiagram, depth: int, keep: bool = True) -> TowerProfile:
     """Ratios, primitive heights and period down to `depth`, from one walk
     that stops at the first revisit n_t = n_s in the tail; the period is
-    t - s, or None.  The vectors are kept only if `keep`, else `kept` is
-    ().  A match of hash(n_t) is checked against n_s pushed again from
-    (1,), kept or not; a collision keeps both levels, so t is still the
-    least."""
-    ratios, vectors, seen, period = [], [], {}, None
+    t - s, 0 for a finite diagram walked to its end, or None.  The vectors
+    are kept only if `keep`, else `kept` is ().  A match of hash(n_t) is
+    checked against n_s pushed again from (1,), kept or not; a collision
+    keeps both levels, so t is still the least."""
+    ratios, vectors, seen = [], [], {}
     walk = _levels(diagram, (1,), 0, depth)  # validates the depth before _horizon reads it
+    period = None if diagram.is_infinite or depth < diagram.given_depth else 0
     tail = _horizon(diagram, 0, depth)[0]
     for k, (r, n) in enumerate(walk):
         ratios.append(r)
@@ -485,27 +496,16 @@ def tower_profile(diagram: BratteliDiagram, depth: int, keep: bool = True) -> To
 def maximal_uhf(diagram: BratteliDiagram, depth: int) -> MuResult:
     """The supernatural number of the maximal UHF subalgebra.
 
-    The value is the product of the ratios r_1 ... r_depth.  It is
-    certified exact when the diagram is finite and fully consumed
-    (the algebra is finite-dimensional with a full matrix summand of
-    size gcds[depth]) or when the normalized heights at `depth` recur
-    inside the repeating tail, in which case every prime of the last
-    period of ratios gets exponent OMEGA.  Anything else is a
-    truncation.  Each distinct ratio is factorized once; the gcd, the
-    product of all the ratios, never is, nor is a level past the revisit.
+    The value is the product of the ratios r_1 ... r_depth, read prime by
+    prime off the walk's record, and certified exactly when its period is
+    set (see `TowerProfile`).  The primes are those of the distinct walked
+    ratios, each factorized once; the gcd, the product of all the ratios,
+    never is, nor is a level past the revisit.
     """
     profile = tower_profile(diagram, depth, keep=False)
-    counts = Counter(profile.walked)
-    factors = {r: factorize(r) for r in counts}
-    exps: dict[int, Exponent] = {}
-    for r, count in counts.items():
-        for p, e in factors[r].items():
-            exps[p] = exps.get(p, 0) + e * count
-    if profile.period is not None:
-        for r in profile.walked[-profile.period:]:
-            exps.update(dict.fromkeys(factors[r], OMEGA))
-    exact = profile.period is not None or (not diagram.is_infinite and depth == diagram.given_depth)
-    return MuResult(SupernaturalNumber(exps), CERTIFIED if exact else TRUNCATED)
+    primes = set().union(*map(factorize, set(profile.walked)))
+    return MuResult(SupernaturalNumber({p: profile.exponent(p) for p in primes}),
+                    TRUNCATED if profile.period is None else CERTIFIED)
 
 
 def odometer(diagram: BratteliDiagram, depth: int) -> BratteliDiagram:
@@ -590,14 +590,14 @@ def k0_unit_divisor(diagram: BratteliDiagram, n: int, depth: int) -> Optional[Di
 def uhf_embeds(number: SupernaturalNumber, diagram: BratteliDiagram, depth: int) -> str:
     """Whether M_number embeds unitally, per the invariant at `depth`.
 
-    "yes" is exact: the truncation only ever grows.  A negative answer
-    is "no-certified" when the invariant is certified and
-    "no-within-depth" otherwise.
+    The walk's record is read at number's own primes and no ratio is
+    factorized.  "yes" is exact: the truncation only ever grows.  "no" is
+    "no-certified" when the record's period is set, else "no-within-depth".
     """
-    result = maximal_uhf(diagram, depth)
-    if number.divides(result.value):
+    profile = tower_profile(diagram, depth, keep=False)
+    if all(e <= profile.exponent(p) for p, e in number.items()):
         return "yes"
-    return "no-certified" if result.exactness == CERTIFIED else "no-within-depth"
+    return "no-within-depth" if profile.period is None else "no-certified"
 
 
 def rational_subgroup_witness(
@@ -691,7 +691,7 @@ def telescope(diagram: BratteliDiagram, cut_points: Sequence[int]) -> BratteliDi
     if not cuts:
         raise ValueError("at least one cut point is required")
     if cuts[0] < 1 or any(b <= a for a, b in zip(cuts, cuts[1:])):
-        raise ValueError("cut points must be strictly increasing and >= 1, got %r" % (cut_points,))
+        raise ValueError("cut points must be strictly increasing and >= 1, got %s" % clipped(cut_points))
     if not diagram.is_infinite and cuts[-1] > diagram.given_depth:
         raise DiagramError("cut %d exceeds the %d levels of a finite diagram"
                            % (cuts[-1], diagram.given_depth))

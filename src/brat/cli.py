@@ -104,7 +104,7 @@ def _parse_vector(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise InputError("bad integer vector %r" % (text,)) from None
+        raise InputError("bad integer vector %s" % clipped(text)) from None
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -112,7 +112,7 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError("bad rational %r: %s" % (text, exc)) from None
+        raise InputError("bad rational %s: %s" % (clipped(text), exc)) from None
 
 
 def _parse_group_element(group, text: str):
@@ -121,15 +121,15 @@ def _parse_group_element(group, text: str):
         try:
             return int(text)
         except ValueError:
-            raise InputError("cyclic group elements are integers, got %r" % (text,)) from None
+            raise InputError("cyclic group elements are integers, got %s" % clipped(text)) from None
     parts = text.split(",")
     if len(parts) != 2:
-        raise InputError("quadratic elements look like 'q,z', got %r" % (text,))
+        raise InputError("quadratic elements look like 'q,z', got %s" % clipped(text))
     from fractions import Fraction
     try:
         return QuadraticElement(Fraction(parts[0]), int(parts[1]))
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError("bad quadratic element %r: %s" % (text, exc)) from None
+        raise InputError("bad quadratic element %s: %s" % (clipped(text), exc)) from None
 
 
 # -- handlers: (args, loaded source or None, resolved depth or None) ->
@@ -242,7 +242,7 @@ def _sn(args, subject, depth):
         try:
             stage = int(operands[1])
         except ValueError:
-            raise InputError("bad stage %r" % (operands[1],)) from None
+            raise InputError("bad stage %s" % clipped(operands[1])) from None
         return 0, {"ell": number.ell(stage)}
     numbers = [_parse_supernatural(text) for text in operands]
     if op == "divides":
@@ -453,7 +453,3 @@ def main(argv=None) -> int:
         return _emit_error(str(exc))
     except (MemoryError, OverflowError):  # OverflowError: a size past sys.maxsize, as of a sieve to a huge prime
         return _emit_error("out of memory", "limit")
-
-
-def run() -> None:
-    sys.exit(main())

@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Union
 
-from ._record import Record, as_int
+from ._record import Record, as_int, clipped
 from .primes import factorize, valuation
 from .supernatural import Exponent, SupernaturalNumber
 
@@ -64,7 +64,7 @@ def semigroup_member(generators: tuple[int, ...], x: int) -> bool:
     """
     gens = sorted(set(generators))
     if not gens or any(g < 1 for g in gens):
-        raise ValueError("generators must be positive integers, got %r" % (generators,))
+        raise ValueError("generators must be positive integers, got %s" % clipped(generators))
     if x < 0:
         return False
     if x == 0:
@@ -90,10 +90,10 @@ class CyclicOrderedGroup(Record):
     def __post_init__(self):
         gens = tuple(sorted(set(as_int(g, "generators must be integers") for g in self.generators)))
         if not gens or gens[0] < 1:
-            raise ValueError("generators must be positive integers, got %r" % (self.generators,))
+            raise ValueError("generators must be positive integers, got %s" % clipped(self.generators))
         object.__setattr__(self, "generators", gens)
         if as_int(self.unit, "unit must be an integer") < 1 or not semigroup_member(gens, self.unit):
-            raise ValueError("unit %r is not in the positive cone" % (self.unit,))
+            raise ValueError("unit %s is not in the positive cone" % clipped(self.unit))
 
     def to_data(self) -> dict[str, object]:
         return {"kind": "cyclic", "generators": list(self.generators), "unit": self.unit}
@@ -119,7 +119,7 @@ class QuadraticElement(Record):
         try:
             return cls(Fraction(str(data["k"])), data["z"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ValueError("bad quadratic element %r: %s" % (data, exc)) from None
+            raise ValueError("bad quadratic element %s: %s" % (clipped(data), exc)) from None
 
 
 def quadratic_sign(q: Fraction, z: int, d: int) -> int:
@@ -148,7 +148,7 @@ class QuadraticIrrationalGroup(Record):
     def __post_init__(self):
         as_int(self.alpha_square, "alpha_square must be an integer")
         if self.alpha_square < 2 or not _is_squarefree(self.alpha_square):
-            raise ValueError("alpha_square must be square-free and >= 2, got %r" % (self.alpha_square,))
+            raise ValueError("alpha_square must be square-free and >= 2, got %s" % clipped(self.alpha_square))
         if self.unit.q == 0:
             raise ValueError("unit must have a nonzero rational part")
         if not self.h_number.contains(self.unit.q):
@@ -175,7 +175,7 @@ GroupElement = Union[int, QuadraticElement]
 def group_from_data(data) -> OrderedGroup:
     """The group that `to_data` describes: an object tagged "cyclic" or "quadratic"."""
     if not isinstance(data, dict):
-        raise ValueError("group must be an object, got %r" % (data,))
+        raise ValueError("group must be an object, got %s" % clipped(data))
     kind = data.get("kind")
     try:
         if kind == "cyclic":
@@ -188,7 +188,7 @@ def group_from_data(data) -> OrderedGroup:
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("bad group description: %s" % exc) from None
-    raise ValueError("group kind must be 'cyclic' or 'quadratic', got %r" % (kind,))
+    raise ValueError("group kind must be 'cyclic' or 'quadratic', got %s" % clipped(kind))
 
 
 def unit_divisor(group: OrderedGroup, n: int) -> Optional[GroupElement]:

@@ -156,7 +156,7 @@ class SupernaturalNumber(Record):
     @classmethod
     def from_data(cls, data: Mapping[str, object]) -> "SupernaturalNumber":
         if not isinstance(data, Mapping):
-            raise ValueError("supernatural number must be an object, got %r" % (data,))
+            raise ValueError("supernatural number must be an object, got %s" % clipped(data))
         exps: dict[int, Exponent] = {}
         for key, raw in data.items():
             try:  # one spelling per prime: ASCII digits, no leading zero

@@ -203,6 +203,17 @@ class TestTowerProfile:
         with pytest.raises(AttributeError):
             walked.heights = ()
 
+    def test_period_says_certified_and_exponent_reads_each_prime(self):
+        # the period (2, 1) carries its 2 in its first ratio, not its last
+        swap = BratteliDiagram((1, 2, 2), (((1,), (2,)), ((0, 1), (2, 0))), REPEAT_LAST)
+        profile = tower_profile(swap, 10, keep=False)
+        assert (profile.walked, profile.period) == ((1, 2, 1), 2)
+        assert [profile.exponent(p) for p in (2, 3)] == [OMEGA, 0]
+        assert maximal_uhf(swap, 10) == MuResult(SupernaturalNumber({2: OMEGA}), CERTIFIED)
+        # a finite diagram walked to its end has period 0; one cut short, None
+        walks = tower_profile(FINDIM, 1), tower_profile(FINDIM, 0)
+        assert [(walk.period, walk.exponent(2)) for walk in walks] == [(0, 1), (None, 0)]
+
     def test_findim(self):
         profile = tower_profile(FINDIM, 1)
         assert profile.heights == ((1,), (4, 6))
@@ -345,6 +356,26 @@ class TestMaximalUhf:
         diagram = BratteliDiagram((1, 2, 2), (((6,), (10,)), ((p, 0), (0, p))), REPEAT_LAST)
         assert maximal_uhf(diagram, 40) == MuResult(SupernaturalNumber({2: 1, p: OMEGA}), CERTIFIED)
         assert seen and max(n.bit_length() for n in seen) <= p.bit_length() == 20
+
+    def test_embed_factorizes_nothing_and_asks_no_mu(self, monkeypatch):
+        # uhf_embeds reads the walk's record at the number's own primes
+        p = 1000003
+        diagram = BratteliDiagram((1, 2, 2), (((6,), (10,)), ((p, 0), (0, p))), REPEAT_LAST)
+        numbers = [SupernaturalNumber(e) for e in ({2: 1, p: OMEGA}, {2: 2}, {3: 1, p: 5})]
+        calls = []
+
+        def recording(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        for module in (brat.bratteli, brat.supernatural):
+            monkeypatch.setattr(module, "factorize", recording("factorize", module.factorize))
+        monkeypatch.setattr(brat.bratteli, "maximal_uhf", recording("maximal_uhf", brat.bratteli.maximal_uhf))
+        assert [uhf_embeds(n, diagram, 40) for n in numbers] == ["yes", "no-certified", "no-certified"]
+        assert [uhf_embeds(n, diagram, 1) for n in numbers] == ["no-within-depth"] * 3
+        assert calls == []
 
 
 class TestOdometer:

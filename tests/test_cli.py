@@ -721,6 +721,18 @@ class TestLoading:
         argv = [str(path) if word == "FILE" else word for word in argv]
         assert run(capsys, *argv) == (2, "", json.dumps({"error": {"type": "input", "message": message}}) + "\n")
 
+    @pytest.mark.parametrize("argv, data, message", [
+        (("mu",), {"levels": [1, 1], "matrices": [[["x" * 100000]]]}, "matrix entries must be integers"),
+        (("mu",), "x" * 100000, "diagram must be an object"),
+        (("group", "maxsn"), "x" * 100000, "group must be an object"),
+    ], ids=["mu-entry", "mu-string", "group-maxsn-string"])
+    def test_a_long_bad_value_is_echoed_clipped(self, capsys, tmp_path, argv, data, message):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(data))
+        message += ", got '%s... (100002 characters)" % ("x" * 39)
+        expected = json.dumps({"error": {"type": "input", "message": message}}) + "\n"
+        assert run(capsys, *argv, str(path)) == (2, "", expected) and len(expected) < 300
+
     def test_kind_mismatch(self, capsys):
         status, _, err = run(capsys, "mu", "catalog:cone-2-3-unit-6")
         assert status == 2 and "is a group, not a diagram" in json.loads(err)["error"]["message"]
@@ -824,11 +836,14 @@ def test_propd_enumerates_divisors_of_a_large_unit(tmp_path):
         1, '{"holds": false, "counterexample": [3, 166666666667]}\n', "")
 
 
-def capped_brat(*argv, cap_mb=512):
-    """`python -m brat` in a child whose address space is capped at `cap_mb` MB."""
+def capped_brat(*argv, cap_mb=512, cpu_s=None):
+    """`python -m brat` in a child whose address space is capped at `cap_mb` MB
+    and, if `cpu_s` is given, its CPU time at `cpu_s` seconds."""
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (cap_mb << 20, cap_mb << 20))
+        if cpu_s is not None:
+            resource.setrlimit(resource.RLIMIT_CPU, (cpu_s, cpu_s))
 
     return subprocess.run([sys.executable, "-m", "brat", *argv],
                           capture_output=True, text=True, timeout=60, preexec_fn=cap)
@@ -923,7 +938,11 @@ def test_each_request_builds_and_validates_its_diagrams_once(monkeypatch, capsys
 @pytest.mark.parametrize("argv, message", [
     (("rsub", E55, "--stage", "-1", "--vector", "1,1"), "stage -1 outside 0..16"),
     (("group", "divides", "catalog:cone-2-3-unit-2", "--n", "0"), "divides needs --n with a positive integer"),
-], ids=["rsub-negative-stage", "group-divides-zero"])
+    # too few or too many positionals: not plain, so argparse words the error
+    (("mu",), "the following arguments are required: source"),
+    (("catalog", "a", "b"), "unrecognized arguments: b"),
+    (("sn", "mul"), "the following arguments are required: operands"),
+], ids=["rsub-negative-stage", "group-divides-zero", "mu-no-source", "catalog-two-names", "sn-mul-no-operand"])
 def test_operand_errors(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", json.dumps({"error": {"type": "input", "message": message}}) + "\n")
 
@@ -944,6 +963,23 @@ def test_cyclic_maxsn_exponent_reaches_the_units(capsys, tmp_path):
 def test_a_repeating_tail_stops_at_its_revisit_whatever_the_depth(argv, status, out, err):
     # the profile keeps the levels up to the first revisit, not one word per level
     proc = capped_brat(argv[0], E55, "--depth", str(10**20), *argv[1:])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, out, err)
+
+
+# two 56-bit primes: Pollard's rho takes about 2**28 steps to split their product
+P56, Q56 = 36028797018963971, 36028797019963987
+
+
+@pytest.mark.parametrize("argv, status, out, err", [
+    (("embed", "--uhf", '{"2":1}'), 1, '{"embeds": "no-certified", "depth": 16}\n', ""),
+    (("theta", "--x", "1/2"), 2, "", '{"error": {"type": "input", "message": '
+                                     '"1/2 lies outside the rational group of the invariant"}}\n'),
+], ids=["embed", "theta-miss"])
+def test_embed_and_a_theta_miss_factor_no_ratio(tmp_path, argv, status, out, err):
+    # the tail ratio P56 * Q56 recurs from level 2 on, and both answers read only v_2
+    path = tmp_path / "pq.json"
+    path.write_text(json.dumps({"levels": [1, 1, 1], "matrices": [[[1]], [[P56 * Q56]]], "tail": "repeat-last"}))
+    proc = capped_brat(argv[0], str(path), *argv[1:], cpu_s=2)
     assert (proc.returncode, proc.stdout, proc.stderr) == (status, out, err)
 
 

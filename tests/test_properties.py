@@ -18,11 +18,12 @@ from brat.bratteli import (
     scale_unit_stage,
     telescope,
     tower_profile,
+    uhf_embeds,
 )
 from brat.ordered_group import group_from_data, max_supernatural
 from brat.primes import factorize
 from brat.supernatural import OMEGA, SupernaturalNumber
-from gen import diagrams
+from gen import SMALL_PRIMES, diagrams, supernaturals
 from oracles import tensor_diagrams, tensor_odometer
 
 WIDE = dict(max_width=4, max_depth=5, max_entry=6)
@@ -71,10 +72,21 @@ def test_odometer_keeps_mu_unless_the_period_exceeds_one(diagram, extra):
     depth = _depth(diagram, extra)
     period = tower_profile(diagram, depth).period
     mu, reference = maximal_uhf(odometer(diagram, depth), depth), maximal_uhf(diagram, depth)
-    if period in (None, 1):
+    if period in (None, 0, 1):
         assert mu.value == reference.value
     if period == 1:
         assert mu.exactness == reference.exactness == CERTIFIED
+
+
+@settings(max_examples=200)
+@given(diagrams(**WIDE), st.integers(0, 6), supernaturals(primes=SMALL_PRIMES + (23, 29, 1000003)))
+def test_embed_answers_what_mu_divides(diagram, extra, number):
+    # uhf_embeds reads v_p at the number's own primes, maximal_uhf factors
+    # every ratio; the number has OMEGA exponents and primes mu lacks
+    depth = _depth(diagram, extra)
+    mu, answer = maximal_uhf(diagram, depth), uhf_embeds(number, diagram, depth)
+    assert (answer == "yes") == number.divides(mu.value)
+    assert (answer == "no-certified") == (not number.divides(mu.value) and mu.exactness == CERTIFIED)
 
 
 @settings(max_examples=200)

@@ -38,10 +38,9 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent / "src" / "brat"
 # (module, stripped source text) of each statement only a subprocess test runs: that test
 SUBPROCESS = {
-    ("__main__.py", "from .cli import run"): "test_module_entry_point",
+    ("__main__.py", "from .cli import main"): "test_module_entry_point",
     ("__main__.py", 'if __name__ == "__main__":'): "test_module_entry_point",
-    ("__main__.py", "run()"): "test_module_entry_point",
-    ("cli.py", "sys.exit(main())"): "test_module_entry_point",
+    ("__main__.py", "raise SystemExit(main())"): "test_module_entry_point",
     ("cli.py", 'return _emit_error("out of memory", "limit")'): "test_out_of_memory_is_a_limit_error_not_a_no",
 }
 TOOL = sys.monitoring.COVERAGE_ID
