@@ -2,13 +2,21 @@
 fields as annotations, in order, and a class attribute of the same name
 is that field's default.  `__post_init__`, if defined, validates and
 normalizes fields with `object.__setattr__`, and `as_int` is the check
-its integer fields share.  `clipped` keeps an echoed input short."""
+its integer fields share.  `clipped` and `reason` keep an echoed input short."""
+
+
+def _cut(text: str) -> str:
+    return text if len(text) <= 40 else "%s... (%d characters)" % (text[:40], len(text))
 
 
 def clipped(value) -> str:
     """repr(value), cut to its first 40 characters plus its length when longer."""
-    text = repr(value)
-    return text if len(text) <= 40 else "%s... (%d characters)" % (text[:40], len(text))
+    return _cut(repr(value))
+
+
+def reason(exc: Exception, text: str) -> str:
+    """str(exc) with each echo of the input `text` cut to its first 40 characters plus its length."""
+    return str(exc).replace(text, _cut(text))
 
 
 def as_int(value, message: str) -> int:

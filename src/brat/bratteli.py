@@ -23,23 +23,24 @@ L = given_depth - 1 <= s < t.  From L on each step applies the tail
 matrix, so (n_{k+1}, r_{k+1}) is a function of n_k; thus r_{t+j} =
 r_{s+j} for all j >= 1, the primes of r_{s+1} ... r_t get exponent
 OMEGA, and no other prime occurs after t.  With no period, results are
-"truncated-at-depth".  A hash match n_t = n_s is confirmed by pushing n_s
-again from the root.  The record keeps levels up to t and gives v_p of
+"truncated-at-depth".  The record keeps levels up to t and gives v_p of
 the invariant at any prime: `embed` and a `theta` miss read N's primes
 and factor no ratio, and `mu` factors each distinct ratio once.  Later
-levels are replayed when read, O(1) per level for the ratios and
-O(width) for the heights, so `mu`, `embed` and a `theta` miss stop at t.
-Only `towers` and `premorphism` keep every n_k.  The odometer and the
-canonical premorphism are two readings of one walk.
+levels are replayed when read, so `mu`, `embed`, `odometer` and a
+`theta` miss hold the ratios and the k+1 window vectors, plus one
+vector; only `towers` and `premorphism` keep every n_k.
 
-The first-hit searches stop at a horizon on a repeating tail, and a miss
-there is a miss at every depth.  From s0 = max(stage, L) each push applies
-the k x k tail A; `_horizon` alone states s0, which the walk and its
-revisit read at stage 0 (s0 = L) and the searches at theirs.  Over Z_p
-(Fitting) Z_p^k = N + U, A^k N in pN and A is invertible on U, so
-v_p(A^n y) = min(v_p(A^n y_N), v_p(y_U)), whose first term gains at
-least 1 per k pushes: a gcd(content, m) stalled k pushes is final.
-As ker A^n = ker A^k for n >= k, an `rsub` hit comes by level s0 + k.
+From s0 = max(stage, L) each push applies the k x k tail A (`_horizon`).
+Fitting's lemma gives Q^k = ker A^k + im A^k, A injective on im A^k, and
+Z_p^k = N + U, A^k N in pN, A invertible on U; hence three rules, by the
+last two of which a search's miss at its horizon is a miss at any depth:
+- The walk's revisit window.  From L+k on each n_j lies along im A^k,
+  where A is injective, so n -> A n / gcd(A n) is injective on these
+  primitive positive n_j: a first revisit with s > L+k would follow an
+  earlier one, n_{s-1} = n_{t-1}.  So s <= L+k.
+- `divide`: v_p(A^n y) = min(v_p(A^n y_N), v_p(y_U)), whose first term gains
+  at least 1 per k pushes, so a gcd(content, m) stalled k pushes is final.
+- `rsub`: as ker A^n = ker A^k for n >= k, a hit comes by level s0 + k.
 
 Head levels are pushed row by row.  The tail matrix A (k x k) is pushed
 in a form the walk builds once, chosen from A by an operation count:
@@ -124,14 +125,10 @@ def _subset_mat_vec(form, v: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _product(a: Matrix, pushes: int):
-    """v -> a v for `pushes` vectors v, by shared subset sums when that
-    takes fewer operations, else row by row.
-
-    With a's entries in 0..255, of at most P bits, blocks of b <= 8 of the
-    k columns, the subset sums cost one pass over a, then ceil(k/b) *
-    (2**b + rows * P) additions per vector; the plain product rows * k
-    multiplications per vector.  So they need more than one vector, and
-    2**b < (b - 1) * rows for some b, which takes rows > 4."""
+    """v -> a v for `pushes` vectors v, by shared subset sums (see the
+    module docstring) when that takes fewer operations, else row by row.
+    They need more than one vector, and 2**b < (b - 1) * rows for some b,
+    which takes rows > 4."""
     rows, k = len(a), len(a[0])
     if pushes < 2 or rows <= 4:
         return partial(_mat_vec, a)
@@ -471,25 +468,23 @@ def tower_profile(diagram: BratteliDiagram, depth: int, keep: bool = True) -> To
     """Ratios, primitive heights and period down to `depth`, from one walk
     that stops at the first revisit n_t = n_s in the tail; the period is
     t - s, 0 for a finite diagram walked to its end, or None.  The vectors
-    are kept only if `keep`, else `kept` is ().  A match of hash(n_t) is
-    checked against n_s pushed again from (1,), kept or not; a collision
-    keeps both levels, so t is still the least."""
-    ratios, vectors, seen = [], [], {}
+    are kept only if `keep`, else `kept` is ().  Tail vectors are looked up
+    exactly among the k+1 of levels L..L+k, where s lies (module docstring)."""
+    ratios, vectors, window = [], [], {}
     walk = _levels(diagram, (1,), 0, depth)  # validates the depth before _horizon reads it
     period = None if diagram.is_infinite or depth < diagram.given_depth else 0
-    tail = _horizon(diagram, 0, depth)[0]
-    for k, (r, n) in enumerate(walk):
+    tail, width = _horizon(diagram, 0, depth)
+    for level, (r, n) in enumerate(walk):
         ratios.append(r)
         if keep:
             vectors.append(n)
-        if k < tail:
+        if level < tail:
             continue
-        levels = seen.get(h := hash(n), ())
-        s = next((s for s in levels if n == next(islice(_pushed(diagram, (1,), 0, s), s, None))[1]), None)
-        if s is not None:
-            period = k - s
+        if (s := window.get(n)) is not None:
+            period = level - s
             break
-        seen[h] = levels + (k,)
+        if level <= tail + width:
+            window[n] = level
     return TowerProfile(tuple(ratios[1:]), tuple(vectors), period, depth)
 
 

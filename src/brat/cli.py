@@ -17,7 +17,7 @@ import sys
 import types
 from typing import Callable, NamedTuple, Optional
 
-from ._record import clipped
+from ._record import clipped, reason
 from .supernatural import SupernaturalNumber
 
 DEFAULT_DEPTH = 16
@@ -112,7 +112,7 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError("bad rational %s: %s" % (clipped(text), exc)) from None
+        raise InputError("bad rational %s: %s" % (clipped(text), reason(exc, text))) from None
 
 
 def _parse_group_element(group, text: str):
@@ -129,7 +129,7 @@ def _parse_group_element(group, text: str):
     try:
         return QuadraticElement(Fraction(parts[0]), int(parts[1]))
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError("bad quadratic element %s: %s" % (clipped(text), exc)) from None
+        raise InputError("bad quadratic element %s: %s" % (clipped(text), reason(exc, parts[0]))) from None
 
 
 # -- handlers: (args, loaded source or None, resolved depth or None) ->

@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Union
 
-from ._record import Record, as_int, clipped
+from ._record import Record, as_int, clipped, reason
 from .primes import factorize, valuation
 from .supernatural import Exponent, SupernaturalNumber
 
@@ -116,10 +116,11 @@ class QuadraticElement(Record):
     @classmethod
     def from_data(cls, data) -> "QuadraticElement":
         from fractions import Fraction
+        k = ""  # the text that Fraction's error echoes
         try:
-            return cls(Fraction(str(data["k"])), data["z"])
+            return cls(Fraction(k := str(data["k"])), data["z"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ValueError("bad quadratic element %s: %s" % (clipped(data), exc)) from None
+            raise ValueError("bad quadratic element %s: %s" % (clipped(data), reason(exc, k))) from None
 
 
 def quadratic_sign(q: Fraction, z: int, d: int) -> int:
@@ -263,9 +264,9 @@ def max_supernatural(group: OrderedGroup) -> Optional[SupernaturalNumber]:
     """
     exps: dict[int, Exponent] = {}
     if isinstance(group, CyclicOrderedGroup):
-        for p, cap in factorize(group.unit).items():
+        for p in factorize(group.unit):
             k = 0
-            while k < cap and unit_divisor(group, p ** (k + 1)) is not None:
+            while unit_divisor(group, p ** (k + 1)) is not None:
                 k += 1
             exps[p] = k
         number = SupernaturalNumber(exps)

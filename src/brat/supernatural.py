@@ -179,9 +179,5 @@ class SupernaturalNumber(Record):
         return "SupernaturalNumber({%s})" % body
 
     def __str__(self):
-        if not self.exponents:
-            return "1"
-        return "*".join(
-            ("%d^w" % p) if e is OMEGA else ("%d^%d" % (p, e) if e > 1 else str(p))
-            for p, e in self.exponents
-        )
+        return "*".join(("%d^w" % p) if e is OMEGA else ("%d^%d" % (p, e) if e > 1 else str(p))
+                        for p, e in self.exponents) or "1"

@@ -151,40 +151,41 @@ def brute_max_supernatural_exponents(group: CyclicOrderedGroup) -> dict[int, int
     return exponents
 
 
+def reference_first_revisit(diagram: BratteliDiagram, depth: int):
+    """(s, t) for the first revisit n_t = n_s of the normalized heights in
+    the tail, L = given_depth - 1 <= s < t <= depth, least t first, found by
+    comparing every pair of tail levels, with no window: O(depth**2).  None
+    for a finite diagram, or when no two tail levels up to `depth` agree."""
+    if not diagram.is_infinite:
+        return None
+    heights = edge_walk_heights(diagram, depth)
+    normalized = [tuple(x // math.gcd(*v) for x in v) for v in heights]
+    tail = range(max(diagram.given_depth - 1, 0), depth + 1)
+    return next(((s, t) for t in tail for s in range(tail.start, t) if normalized[s] == normalized[t]), None)
+
+
 def reference_mu(diagram: BratteliDiagram, depth: int) -> tuple[SupernaturalNumber, str]:
     """(value, exactness) of the invariant by the direct route: factorize
     the height gcd at `depth`, then give OMEGA to every prime of the
-    cycle product gcds[t] / gcds[s], where (s, t) is the first revisit of
-    the normalized heights in the tail window, every level normalized."""
+    cycle product gcds[t] / gcds[s], where (s, t) is the first revisit."""
     heights = edge_walk_heights(diagram, depth)
     gcds = [math.gcd(*v) for v in heights]
     exponents = dict(factorize(gcds[depth]))
     if not diagram.is_infinite:
         return SupernaturalNumber(exponents), CERTIFIED if depth == diagram.given_depth else TRUNCATED
-    normalized = [tuple(x // g for x in v) for v, g in zip(heights, gcds)]
-    window = range(max(diagram.given_depth - 1, 0), depth + 1)
-    for t in window:
-        for s in range(window.start, t):
-            if normalized[s] == normalized[t]:
-                exponents.update(dict.fromkeys(factorize(gcds[t] // gcds[s]), OMEGA))
-                return SupernaturalNumber(exponents), CERTIFIED
-    return SupernaturalNumber(exponents), TRUNCATED
+    revisit = reference_first_revisit(diagram, depth)
+    if revisit is None:
+        return SupernaturalNumber(exponents), TRUNCATED
+    s, t = revisit
+    exponents.update(dict.fromkeys(factorize(gcds[t] // gcds[s]), OMEGA))
+    return SupernaturalNumber(exponents), CERTIFIED
 
 
 def reference_odometer_tail(diagram: BratteliDiagram, depth: int):
     """The odometer's tail by the direct route: REPEAT_LAST exactly when
-    the first revisit (s, t) of the normalized heights in the tail window
-    has t - s == 1, found by comparing every pair of levels, O(depth**2)."""
-    if not diagram.is_infinite:
-        return None
-    heights = edge_walk_heights(diagram, depth)
-    normalized = [tuple(x // math.gcd(*v) for x in v) for v in heights]
-    window = range(max(diagram.given_depth - 1, 0), depth + 1)
-    for t in window:
-        for s in range(window.start, t):
-            if normalized[s] == normalized[t]:
-                return REPEAT_LAST if t - s == 1 else None
-    return None
+    the first revisit (s, t) has t - s == 1."""
+    revisit = reference_first_revisit(diagram, depth)
+    return REPEAT_LAST if revisit and revisit[1] - revisit[0] == 1 else None
 
 
 def reference_rsub(diagram: BratteliDiagram, entries, stage: int, depth: int):

@@ -1,6 +1,8 @@
 import math
 import pickle
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -38,6 +40,7 @@ from oracles import (
     enumerated_path_heights,
     naive_ell,
     reference_divide,
+    reference_first_revisit,
     reference_mu,
     reference_odometer_tail,
     reference_rsub,
@@ -489,10 +492,48 @@ CIRCULANT = BratteliDiagram((1, 8, 8), (((2,),) * 8, tuple(
     tuple((3, 1, 0, 2, 1, 0, 1, 3)[(j - i) % 8] for j in range(8)) for i in range(8))), REPEAT_LAST)
 
 
+# levels [1, 2, 2] with a singular tail: n_1 = (1, 2) lies off the line of
+# im A, and n_2 = n_3 = (1, 1), so the first revisit is s = L + 1 = 2, t = 3
+SINGULAR = BratteliDiagram((1, 2, 2), (((1,), (2,)), ((1, 1), (1, 1))), REPEAT_LAST)
+# a singular 4-wide tail whose first revisit is s = L + 3 = 4, t = 5
+LATE_SINGULAR = BratteliDiagram((1, 4, 4), (((1,), (1,), (1,), (2,)), (
+    (1, 0, 0, 1), (2, 0, 0, 2), (0, 1, 2, 0), (2, 0, 2, 0))), REPEAT_LAST)
+
+
+@st.composite
+def singular_tails(draw):
+    """A k-wide repeating tail, 1 <= k <= 4, after a head of one or two
+    levels; the entries are drawn from 0, 0, 1, 1, 2, 3, so many tails are
+    singular."""
+    k = draw(st.integers(1, 4))
+    square = st.lists(st.lists(st.sampled_from((0, 0, 1, 1, 2, 3)), min_size=k, max_size=k),
+                      min_size=k, max_size=k).filter(lambda m: all(map(any, m)) and all(map(any, zip(*m))))
+    column = st.lists(st.tuples(st.integers(1, 3)), min_size=k, max_size=k)
+    matrices = [draw(column), *draw(st.lists(square, min_size=1, max_size=2))]
+    return BratteliDiagram((1,) + (k,) * len(matrices), tuple(matrices), REPEAT_LAST)
+
+
+def window_size(diagram, depth):
+    """How many tail vectors `tower_profile`'s index holds when its walk returns."""
+    sizes, previous = [], sys.gettrace()
+
+    def local(frame, event, arg):
+        if event == "return":
+            sizes.append(len(frame.f_locals["window"]))
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is tower_profile.__code__ else None)
+    try:
+        tower_profile(diagram, depth, keep=False)
+    finally:
+        sys.settrace(previous)
+    return sizes.pop()
+
+
 class TestRevisitIndex:
-    """The walk indexes tail vectors by hash; every match is checked
-    exactly, against the vector pushed again from the root, whether the
-    walk keeps its vectors or not."""
+    """The walk looks each tail vector up, exactly, among the k+1 levels
+    L..L+k of a k-wide tail, where the first revisit's s lies by Fitting's
+    lemma, whether the walk keeps its vectors or not."""
 
     @pytest.mark.parametrize("diagram, period, mu", [
         (E55, 1, MuResult(N3W, CERTIFIED)),
@@ -501,18 +542,62 @@ class TestRevisitIndex:
         (THREE_ONE, None, MuResult(SupernaturalNumber({2: 15}), TRUNCATED)),
         (TestTailPeriod.LATE, 3, MuResult(SupernaturalNumber({2: OMEGA, 3: 1, 5: OMEGA}), CERTIFIED)),
     ], ids=["example-5.5", "circulant-8", "fibonacci", "3-1-1-1", "period-3"])
-    def test_colliding_hashes_change_no_answer(self, monkeypatch, diagram, period, mu):
+    def test_known_tails_keep_their_period_and_mu(self, diagram, period, mu):
         depth = 30
-        profile = tower_profile(diagram, depth)
-        expected = (maximal_uhf(diagram, depth), odometer(diagram, depth), profile,
-                    canonical_premorphism(diagram, depth))
-        assert (expected[0], profile.period) == (mu, period)
-        hashed = []
-        # every tail vector collides with every earlier one
-        monkeypatch.setattr(brat.bratteli, "hash", lambda n: hashed.append(n) or 0, raising=False)
-        assert (maximal_uhf(diagram, depth), odometer(diagram, depth), tower_profile(diagram, depth),
-                canonical_premorphism(diagram, depth)) == expected
-        assert hashed
+        revisit = reference_first_revisit(diagram, depth)
+        assert tower_profile(diagram, depth).period == period == (revisit and revisit[1] - revisit[0])
+        assert maximal_uhf(diagram, depth) == mu
+
+    @pytest.mark.parametrize("diagram", [E55, CIRCULANT, FIBONACCI, THREE_ONE, TestTailPeriod.LATE, SINGULAR,
+                                         LATE_SINGULAR],
+                             ids=["example-5.5", "circulant-8", "fibonacci", "3-1-1-1", "period-3", "singular",
+                                  "late-singular"])
+    def test_index_holds_at_most_width_plus_one_vectors(self, diagram):
+        assert window_size(diagram, 300) <= diagram.levels[-1] + 1
+
+    @settings(max_examples=200)
+    @given(singular_tails(), st.integers(0, 20))
+    @example(SINGULAR, 8)
+    @example(LATE_SINGULAR, 8)
+    def test_first_revisit_lies_in_the_fitting_window(self, diagram, depth):
+        # the oracle compares every pair of tail levels; its s never passes L + k
+        profile = tower_profile(diagram, depth, keep=False)
+        revisit = reference_first_revisit(diagram, depth)
+        if revisit is None:
+            assert (profile.period, len(profile.walked)) == (None, depth)
+        else:
+            s, t = revisit
+            assert (profile.period, len(profile.walked)) == (t - s, t)
+            assert s <= diagram.given_depth - 1 + diagram.levels[-1]
+
+    def test_singular_tail_revisits_past_its_first_tail_level(self):
+        assert reference_first_revisit(SINGULAR, 8) == (2, 3)
+        profile = tower_profile(SINGULAR, 8, keep=False)
+        assert (profile.walked, profile.period) == ((1, 3, 2), 1)
+        result = maximal_uhf(SINGULAR, 8)
+        assert (result.value.to_data(), result.exactness) == ({"2": "inf", "3": 1}, CERTIFIED)
+        assert reference_first_revisit(LATE_SINGULAR, 8) == (4, 5)
+        assert tower_profile(LATE_SINGULAR, 8).period == 1
+
+    def test_walk_reads_no_hash_and_pushes_once(self, monkeypatch):
+        pushes = []
+        pushed = brat.bratteli._pushed
+        monkeypatch.setattr(brat.bratteli, "_pushed", lambda *args: pushes.append(args) or pushed(*args))
+        monkeypatch.setattr(brat.bratteli, "hash", None, raising=False)  # a call would raise TypeError
+        assert tower_profile(LATE_SINGULAR, 30).period == 1
+        assert tower_profile(FIBONACCI, 30).period is None
+        assert len(pushes) == 2
+
+    def test_a_walk_that_keeps_no_vectors_holds_only_its_window(self):
+        # Fibonacci never revisits: its ratios are all 1, and beside them the
+        # walk holds the window's 3 vectors and the current one, not a key per level
+        tracemalloc.start()
+        try:
+            tower_profile(FIBONACCI, 30000, keep=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     @settings(max_examples=150)
     @given(st.one_of(revisiting_diagrams(), diagrams(max_width=4, max_depth=4, max_entry=3)),
@@ -757,6 +842,13 @@ class TestPremorphism:
         broken = Premorphism(pre.level_map, tuple(matrices))
         report = verify_premorphism(broken, odometer(E55, 2), E55)
         assert (report.ok, report.level, report.kind) == (False, 1, "shape")
+
+    def test_a_row_of_the_wrong_length_is_a_shape_failure(self):
+        # level 2 has the two rows the diagram needs, but the odometer has one vertex there
+        pre = canonical_premorphism(E55, 2)
+        broken = Premorphism(pre.level_map, pre.matrices[:2] + (((1,), (1, 1)),))
+        report = verify_premorphism(broken, odometer(E55, 2), E55)
+        assert (report.ok, report.level, report.kind) == (False, 2, "shape")
 
     def test_identity_premorphism(self):
         ident = Premorphism(

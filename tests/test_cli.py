@@ -148,13 +148,21 @@ def test_an_invalid_diagram_is_reported_before_a_bad_operand(capsys, tmp_path, a
 
 
 class TestTowers:
+    GOLDEN = ('{"depth": 4, "heights": [[1], [1, 1], [3, 3], [9, 9], [27, 27]], '
+              '"gcds": [1, 1, 3, 9, 27], "ratios": [1, 3, 3, 3]}\n')
+
     def test_golden(self, capsys):
-        status, out, _ = run(capsys, "towers", E55, "--depth", "4")
-        assert status == 0
-        assert out == (
-            '{"depth": 4, "heights": [[1], [1, 1], [3, 3], [9, 9], [27, 27]], '
-            '"gcds": [1, 1, 3, 9, 27], "ratios": [1, 3, 3, 3]}\n'
-        )
+        assert run(capsys, "towers", E55, "--depth", "4") == (0, self.GOLDEN, "")
+
+    def test_golden_with_no_digit_limit(self, capsys):
+        # a limit of 0 means none, so no gcd is too long to print
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            answer = run(capsys, "towers", E55, "--depth", "4")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert answer == (0, self.GOLDEN, "")
 
     def test_default_depth_infinite(self, capsys):
         status, out, _ = run(capsys, "towers", E55)
@@ -733,6 +741,30 @@ class TestLoading:
         expected = json.dumps({"error": {"type": "input", "message": message}}) + "\n"
         assert run(capsys, *argv, str(path)) == (2, "", expected) and len(expected) < 300
 
+    # brat's own echo of "x" * n, n >= 40, and Fraction's echo of it, each clipped
+    CUT, ECHO = "'%s..." % ("x" * 39), "Invalid literal for Fraction: '%s..." % ("x" * 40)
+    LIMIT = ("Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
+             "use sys.set_int_max_str_digits() to increase the limit")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("theta", E55, "--x", "x" * 1000), "bad rational %s (1002 characters): %s (1000 characters)'" % (CUT, ECHO)),
+        (("group", "rsub", "catalog:quadratic-sqrt2", "--g", "x" * 1000 + ",1"),
+         "bad quadratic element %s (1004 characters): %s (1000 characters)'" % (CUT, ECHO)),
+        (("group", "maxsn", "FILE"), "bad group description: bad quadratic element {'k': '%s... (100017 "
+                                     "characters): %s (100000 characters)'" % ("x" * 33, ECHO)),
+        # 40 characters print whole, and so does a message that echoes nothing
+        (("theta", E55, "--x", "x" * 40), "bad rational %s (42 characters): Invalid literal for Fraction: '%s'"
+                                          % (CUT, "x" * 40)),
+        (("theta", E55, "--x", "1" * 5000), "bad rational '%s... (5002 characters): %s" % ("1" * 39, LIMIT)),
+    ], ids=["theta-x", "group-rsub-g", "group-maxsn-unit", "theta-x-of-40", "theta-x-past-the-digit-limit"])
+    def test_python_s_own_echo_of_a_long_input_is_clipped(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "unit.json"
+        path.write_text(json.dumps({"kind": "quadratic", "H": {"2": "inf"}, "alpha_square": 2,
+                                    "unit": {"k": "x" * 100000, "z": 0}}))
+        expected = json.dumps({"error": {"type": "input", "message": message}}) + "\n"
+        argv = [str(path) if word == "FILE" else word for word in argv]
+        assert run(capsys, *argv) == (2, "", expected) and len(expected) < 300
+
     def test_kind_mismatch(self, capsys):
         status, _, err = run(capsys, "mu", "catalog:cone-2-3-unit-6")
         assert status == 2 and "is a group, not a diagram" in json.loads(err)["error"]["message"]
@@ -1019,7 +1051,7 @@ THREE_ONE = {"levels": [1, 2, 2], "matrices": [[[1], [1]], [[3, 1], [1, 1]]], "t
 def test_deep_tail_that_never_revisits_keeps_no_vectors(tmp_path, data, argv, status, out):
     # the primitive vectors grow by a constant number of bits per level:
     # kept, 30000 levels take 100-170 MB; mu, embed and odometer keep the
-    # ratios, a hash per level and the current vector
+    # ratios, the window's k+1 = 3 vectors and the current one
     path = tmp_path / "tail.json"
     path.write_text(json.dumps(data))
     proc = capped_brat(argv[0], str(path), "--depth", "30000", *argv[1:], cap_mb=96)
@@ -1214,6 +1246,11 @@ HELP_AND_ERRORS = [
     ["group", "rsub", "catalog:quadratic-sqrt2", "--g=1/2,0"],
     ["sn", "mul", "{}", "-h"], ["catalog", "example-5.5", "findim-4-6"], ["premorphism", E55, "--verify=1"],
 ]
+
+
+def test_main_reads_sys_argv_when_given_no_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["brat", "mu", E55])
+    assert (main(), *capsys.readouterr()) == (0, '{"mu": {"3": "inf"}, "exactness": "certified"}\n', "")
 
 
 @pytest.mark.parametrize("argv", HELP_AND_ERRORS, ids=" ".join)
