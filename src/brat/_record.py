@@ -15,8 +15,9 @@ def clipped(value) -> str:
 
 
 def reason(exc: Exception, text: str) -> str:
-    """str(exc) with each echo of the input `text` cut to its first 40 characters plus its length."""
-    return str(exc).replace(text, _cut(text))
+    """str(exc) with each echo of `text`, even one Python cut at 200 characters, cut to 40 plus its length."""
+    message, echo = str(exc), repr(text)[:200]  # a cut echo, such as int()'s, ends the message
+    return message[:-len(echo)] + repr(_cut(text)) if message.endswith(echo) else message.replace(text, _cut(text))
 
 
 def as_int(value, message: str) -> int:

@@ -32,8 +32,8 @@ vector; only `towers` and `premorphism` keep every n_k.
 
 From s0 = max(stage, L) each push applies the k x k tail A (`_horizon`).
 Fitting's lemma gives Q^k = ker A^k + im A^k, A injective on im A^k, and
-Z_p^k = N + U, A^k N in pN, A invertible on U; hence three rules, by the
-last two of which a search's miss at its horizon is a miss at any depth:
+Z_p^k = N + U, A^k N in pN, A invertible on U; hence four rules, by the
+middle two of which a search's miss at its horizon is a miss at any depth:
 - The walk's revisit window.  From L+k on each n_j lies along im A^k,
   where A is injective, so n -> A n / gcd(A n) is injective on these
   primitive positive n_j: a first revisit with s > L+k would follow an
@@ -41,6 +41,10 @@ last two of which a search's miss at its horizon is a miss at any depth:
 - `divide`: v_p(A^n y) = min(v_p(A^n y_N), v_p(y_U)), whose first term gains
   at least 1 per k pushes, so a gcd(content, m) stalled k pushes is final.
 - `rsub`: as ker A^n = ker A^k for n >= k, a hit comes by level s0 + k.
+- The walk's end.  If r_{L+1} ... r_{L+k} are all 1, so is every later
+  ratio (`divide`'s rule at each p), so n_{j+1} = A n_j, whose sum never
+  falls (A >= 0 has no zero column) and, from a revisit's s <= L+k on, is
+  constant: a rise of sum(n_j) at a level j > L+k rules out any revisit.
 
 Head levels are pushed row by row.  The tail matrix A (k x k) is pushed
 in a form the walk builds once, chosen from A by an operation count:
@@ -267,11 +271,11 @@ class TowerProfile(Record):
 
     walked[n-1] = r_n = gcds[n] / gcds[n-1] and kept[n] = n_n = heights[n] /
     gcds[n] for n <= t, where t is the first revisit n_t = n_s inside the
-    tail and period = t - s.  With no revisit t = depth, and period is 0 for
-    a finite diagram walked to its last level, else None (a truncation).
-    ratios, vectors, gcds and heights run to `depth`, derived on first read
-    by replaying (s, t]; a walk that keeps no vectors has kept == vectors ==
-    heights == ().
+    tail and period = t - s.  With no revisit period is 0 for a finite
+    diagram walked to its last level, else None, and t is `depth` or, if no
+    vectors are kept, the walk's end (module docstring).  ratios, vectors,
+    gcds and heights run to `depth`, derived on first read by replaying
+    (s, t] or the last ratio; with no vectors kept, kept == vectors == heights == ().
     """
 
     walked: tuple[int, ...]
@@ -280,7 +284,7 @@ class TowerProfile(Record):
     depth: int
 
     def _replayed(self, levels: tuple) -> tuple:
-        # the levels past the walk's end repeat its last period; with no period, no level is past it
+        # the levels past the walk repeat its last period or, with none, its last ratio: 1 past the walk's end
         if (past := self.depth - len(self.walked)) > sys.maxsize:  # more than any tuple holds
             raise OverflowError("%d levels past the walk" % past)
         return levels + tuple(islice(cycle(levels[-(self.period or 1):]), past))
@@ -466,11 +470,11 @@ def _levels(diagram: BratteliDiagram, entries: Sequence[int], stage: int, depth:
 
 def tower_profile(diagram: BratteliDiagram, depth: int, keep: bool = True) -> TowerProfile:
     """Ratios, primitive heights and period down to `depth`, from one walk
-    that stops at the first revisit n_t = n_s in the tail; the period is
-    t - s, 0 for a finite diagram walked to its end, or None.  The vectors
-    are kept only if `keep`, else `kept` is ().  Tail vectors are looked up
-    exactly among the k+1 of levels L..L+k, where s lies (module docstring)."""
-    ratios, vectors, window = [], [], {}
+    that stops at the first revisit n_t = n_s in the tail, looked up exactly
+    among the k+1 levels L..L+k where s lies, or, keeping no vectors, at the
+    walk's end (module docstring); the period is t - s, 0 for a finite
+    diagram walked to its end, or None.  `kept` holds the vectors if `keep`."""
+    ratios, vectors, window, floor = [], [], {}, None
     walk = _levels(diagram, (1,), 0, depth)  # validates the depth before _horizon reads it
     period = None if diagram.is_infinite or depth < diagram.given_depth else 0
     tail, width = _horizon(diagram, 0, depth)
@@ -485,6 +489,9 @@ def tower_profile(diagram: BratteliDiagram, depth: int, keep: bool = True) -> To
             break
         if level <= tail + width:
             window[n] = level
+            floor = sum(n) if level == tail + width and not keep and ratios[tail + 1:] == [1] * width else None
+        elif floor is not None and sum(n) > floor:  # sums never fall: the first rise past L+k
+            break
     return TowerProfile(tuple(ratios[1:]), tuple(vectors), period, depth)
 
 

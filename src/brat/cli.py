@@ -126,10 +126,11 @@ def _parse_group_element(group, text: str):
     if len(parts) != 2:
         raise InputError("quadratic elements look like 'q,z', got %s" % clipped(text))
     from fractions import Fraction
+    echoed = parts[0]  # the text that the failing call echoes
     try:
-        return QuadraticElement(Fraction(parts[0]), int(parts[1]))
+        return QuadraticElement(Fraction(parts[0]), int(echoed := parts[1]))
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError("bad quadratic element %s: %s" % (clipped(text), reason(exc, parts[0]))) from None
+        raise InputError("bad quadratic element %s: %s" % (clipped(text), reason(exc, echoed))) from None
 
 
 # -- handlers: (args, loaded source or None, resolved depth or None) ->

@@ -164,6 +164,24 @@ def reference_first_revisit(diagram: BratteliDiagram, depth: int):
     return next(((s, t) for t in tail for s in range(tail.start, t) if normalized[s] == normalized[t]), None)
 
 
+def reference_walk_end(diagram: BratteliDiagram, depth: int) -> int:
+    """Where a walk that keeps no vectors and meets no revisit ends, by the
+    direct route.  With L = given_depth - 1 and a k-wide tail: if the height
+    gcd at L + k equals the one at L, so every ratio r_{L+1} ... r_{L+k} is
+    1, the first level j > L + k whose normalized heights sum to more than
+    those of level j - 1; else, or when no such level comes by `depth`,
+    `depth`."""
+    if not diagram.is_infinite:
+        return depth
+    heights = edge_walk_heights(diagram, depth)
+    gcds = [math.gcd(*v) for v in heights]
+    sums = [sum(v) // g for v, g in zip(heights, gcds)]
+    first = diagram.given_depth + diagram.levels[-1]  # L + k + 1
+    if first > depth or gcds[first - 1] != gcds[first - 1 - diagram.levels[-1]]:
+        return depth
+    return next((j for j in range(first, depth + 1) if sums[j] > sums[j - 1]), depth)
+
+
 def reference_mu(diagram: BratteliDiagram, depth: int) -> tuple[SupernaturalNumber, str]:
     """(value, exactness) of the invariant by the direct route: factorize
     the height gcd at `depth`, then give OMEGA to every prime of the

@@ -44,6 +44,7 @@ from oracles import (
     reference_mu,
     reference_odometer_tail,
     reference_rsub,
+    reference_walk_end,
     stabilization_stage,
 )
 
@@ -564,7 +565,8 @@ class TestRevisitIndex:
         profile = tower_profile(diagram, depth, keep=False)
         revisit = reference_first_revisit(diagram, depth)
         if revisit is None:
-            assert (profile.period, len(profile.walked)) == (None, depth)
+            # the walk's end, or the depth when the window's ratios are not all 1 or the sums never rise
+            assert (profile.period, len(profile.walked)) == (None, reference_walk_end(diagram, depth))
         else:
             s, t = revisit
             assert (profile.period, len(profile.walked)) == (t - s, t)
@@ -589,15 +591,16 @@ class TestRevisitIndex:
         assert len(pushes) == 2
 
     def test_a_walk_that_keeps_no_vectors_holds_only_its_window(self):
-        # Fibonacci never revisits: its ratios are all 1, and beside them the
-        # walk holds the window's 3 vectors and the current one, not a key per level
+        # [[3, 1], [1, 1]] never revisits and its ratios alternate 1 and 2, so
+        # the walk reaches the depth; beside the ratios it holds the window's
+        # 3 vectors and the current one, not a key per level
         tracemalloc.start()
         try:
-            tower_profile(FIBONACCI, 30000, keep=False)
+            walked = len(tower_profile(THREE_ONE, 30000, keep=False).walked)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 << 20
+        assert walked == 30000 and peak < 2 << 20
 
     @settings(max_examples=150)
     @given(st.one_of(revisiting_diagrams(), diagrams(max_width=4, max_depth=4, max_entry=3)),
@@ -614,6 +617,58 @@ class TestRevisitIndex:
         assert profile.premorphism() == canonical_premorphism(diagram, depth)
         with pytest.raises(ValueError):
             walked.premorphism()
+
+
+@st.composite
+def unimodular_tails(draw):
+    """A k-wide repeating tail, 1 <= k <= 5, of determinant +-1: a permutation
+    matrix with up to four columns added to others, so the content of A n
+    divides det A and every tail ratio is 1.  Its head is one column, or a
+    column and a square level.  A bare permutation keeps the sums constant,
+    and with k = 5 its order can be 6, past the window."""
+    k = draw(st.integers(1, 5))
+    permutation = draw(st.permutations(range(k)))
+    tail = [[int(j == permutation[i]) for j in range(k)] for i in range(k)]
+    for _ in range(draw(st.integers(0, 4)) if k > 1 else 0):
+        source, target = draw(st.permutations(range(k)))[:2]
+        for row in tail:
+            row[target] += row[source]
+    column = st.lists(st.tuples(st.integers(1, 3)), min_size=k, max_size=k)
+    square = st.lists(st.lists(st.integers(0, 2), min_size=k, max_size=k), min_size=k, max_size=k).filter(
+        lambda m: all(map(any, m)) and all(map(any, zip(*m))))
+    head = [draw(column), *draw(st.lists(square, max_size=1))]
+    return BratteliDiagram((1,) + (k,) * (len(head) + 1), (*head, tail), REPEAT_LAST)
+
+
+# the tail swaps the two entries, so the sums stay constant: n_1 = (1, 2),
+# n_2 = (2, 1) and n_3 = n_1, a revisit with period 2 and no prime
+SWAP = BratteliDiagram((1, 2, 2), (((1,), (2,)), ((0, 1), (1, 0))), REPEAT_LAST)
+# a 7-wide permutation tail with cycles of 3 and 4: the sums stay constant
+# and the first revisit is s = L = 1, t = L + 12, past the window's L + 7
+LONG_CYCLE = BratteliDiagram((1, 7, 7), (tuple((x,) for x in range(1, 8)), tuple(
+    tuple(int(j == (i + 1) % 3 if i < 3 else j == 3 + (i - 2) % 4) for j in range(7)) for i in range(7))),
+    REPEAT_LAST)
+
+
+class TestWalkEnd:
+    """A walk that keeps no vectors and whose window ratios r_{L+1} ...
+    r_{L+k} are all 1 ends at the first rise of the sum past L + k, and
+    reads as the oracles, which walk to the depth with no window."""
+
+    @settings(max_examples=100)
+    @given(unimodular_tails(), st.integers(0, 30))
+    @example(FIBONACCI, 30)
+    @example(SWAP, 30)
+    @example(LONG_CYCLE, 30)
+    def test_a_walk_that_gains_no_prime_reads_as_the_oracles(self, diagram, depth):
+        profile = tower_profile(diagram, depth, keep=False)
+        revisit = reference_first_revisit(diagram, depth)
+        end = revisit[1] if revisit else reference_walk_end(diagram, depth)
+        assert len(profile.walked) == end and profile.period == (revisit and revisit[1] - revisit[0])
+        assert profile.ratios == tower_profile(diagram, depth).ratios
+        result = maximal_uhf(diagram, depth)
+        assert (result.value, result.exactness) == reference_mu(diagram, depth)
+        assert odometer(diagram, depth).tail == reference_odometer_tail(diagram, depth)
 
 
 class TestWalkAgainstOracles:

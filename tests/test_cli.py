@@ -756,7 +756,14 @@ class TestLoading:
         (("theta", E55, "--x", "x" * 40), "bad rational %s (42 characters): Invalid literal for Fraction: '%s'"
                                           % (CUT, "x" * 40)),
         (("theta", E55, "--x", "1" * 5000), "bad rational '%s... (5002 characters): %s" % ("1" * 39, LIMIT)),
-    ], ids=["theta-x", "group-rsub-g", "group-maxsn-unit", "theta-x-of-40", "theta-x-past-the-digit-limit"])
+        # int() cuts its own echo of the integer part at 200 characters of its repr
+        *((("group", "rsub", "catalog:quadratic-sqrt2", "--g", "1," + "x" * n), "bad quadratic element '1,%s... "
+           "(%d characters): invalid literal for int() with base 10: '%s... (%d characters)'"
+           % ("x" * 37, n + 4, "x" * 40, n)) for n in (100, 300)),
+        (("group", "rsub", "catalog:quadratic-sqrt2", "--g", "1," + "x" * 40), "bad quadratic element '1,%s... "
+         "(44 characters): invalid literal for int() with base 10: '%s'" % ("x" * 37, "x" * 40)),
+    ], ids=["theta-x", "group-rsub-g", "group-maxsn-unit", "theta-x-of-40", "theta-x-past-the-digit-limit",
+            "group-rsub-z-of-100", "group-rsub-z-of-300", "group-rsub-z-of-40"])
     def test_python_s_own_echo_of_a_long_input_is_clipped(self, capsys, tmp_path, argv, message):
         path = tmp_path / "unit.json"
         path.write_text(json.dumps({"kind": "quadratic", "H": {"2": "inf"}, "alpha_square": 2,
@@ -1051,11 +1058,28 @@ THREE_ONE = {"levels": [1, 2, 2], "matrices": [[[1], [1]], [[3, 1], [1, 1]]], "t
 def test_deep_tail_that_never_revisits_keeps_no_vectors(tmp_path, data, argv, status, out):
     # the primitive vectors grow by a constant number of bits per level:
     # kept, 30000 levels take 100-170 MB; mu, embed and odometer keep the
-    # ratios, the window's k+1 = 3 vectors and the current one
+    # ratios, the window's k+1 = 3 vectors and the current one, and on the
+    # Fibonacci tail, whose ratios are all 1, end at level 4
     path = tmp_path / "tail.json"
     path.write_text(json.dumps(data))
     proc = capped_brat(argv[0], str(path), "--depth", "30000", *argv[1:], cap_mb=96)
     assert (proc.returncode, proc.stdout, proc.stderr) == (status, out, "")
+
+
+@pytest.mark.parametrize("argv, status, out, err", [
+    (("mu",), 0, '{"mu": {}, "exactness": "truncated-at-depth"}\n', ""),
+    (("embed", "--uhf", '{"2":1}'), 1, '{"embeds": "no-within-depth", "depth": 100000}\n', ""),
+    (("theta", "--x", "1/2"), 2, "", '{"error": {"type": "input", "message": '
+                                     '"denominator of 1/2 not yet divisible at depth 100000"}}\n'),
+], ids=["mu", "embed", "theta"])
+def test_a_tail_that_gains_no_prime_ends_its_walk_after_the_window(tmp_path, argv, status, out, err):
+    # the window's ratios are 1 and the sum rises at level 4, so no later
+    # ratio differs from 1 and no revisit follows: the walk pushes 4 levels,
+    # where walking all 100000 takes about 3 s of CPU (Python 3.11, a 2-CPU VM)
+    path = tmp_path / "fibonacci.json"
+    path.write_text(json.dumps(FIBONACCI))
+    proc = capped_brat(argv[0], str(path), "--depth", "100000", *argv[1:], cpu_s=2)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, out, err)
 
 
 DEEP_MISS = '{"witness": null, "depth": 300000}\n'
@@ -1126,10 +1150,12 @@ def circulant_tail(tmp_path):
 @pytest.mark.parametrize("command", ["mu", "odometer", "towers"])
 @pytest.mark.parametrize("source, pushes", [
     # L = given_depth - 1 = 1 and the period is 1, so at most L + 1 + 1 pushes
-    (lambda tmp_path: E55, range(4)),
-    (circulant_tail, range(4)),
-    # Fibonacci heights never revisit: every one of the 10000 levels is pushed
-    (lambda tmp_path: str(tmp_path / "fibonacci.json"), [10000]),
+    (lambda tmp_path: E55, dict.fromkeys(["mu", "odometer", "towers"], range(4))),
+    (circulant_tail, dict.fromkeys(["mu", "odometer", "towers"], range(4))),
+    # Fibonacci heights never revisit.  Their ratios are all 1, so a walk
+    # that keeps no vectors ends at the first rise of the sum past L + k = 3,
+    # level 4; towers keeps the vectors and pushes every one of the 10000 levels
+    (lambda tmp_path: str(tmp_path / "fibonacci.json"), {"mu": [4], "odometer": [4], "towers": [10000]}),
 ], ids=["example-5.5", "circulant-8", "fibonacci"])
 def test_walk_replays_the_tail_after_its_first_revisit(monkeypatch, capsys, tmp_path, command, source, pushes):
     (tmp_path / "fibonacci.json").write_text(json.dumps(FIBONACCI))
@@ -1144,7 +1170,7 @@ def test_walk_replays_the_tail_after_its_first_revisit(monkeypatch, capsys, tmp_
     status, _, err = run(capsys, command, source(tmp_path), "--depth", "10000")
     # towers with a gcd past 4300 digits is refused as a limit
     assert status == 0 or json.loads(err)["error"]["type"] == "limit"
-    assert count[0] in pushes
+    assert count[0] in pushes[command]
 
 
 def power_tower(tmp_path, first, second):
