@@ -14,6 +14,7 @@ _SUBMODULE = {name: module for module, names in (
                       "coprime_divisor_property is_unperforated max_supernatural quadratic_sign "
                       "rational_subgroup_member representable_with_denominator scale_unit semigroup_member "
                       "unit_divisor"),
+    ("rational", "Rational"),
     ("supernatural", "OMEGA SupernaturalNumber"),
 ) for name in names.split()}
 

@@ -604,7 +604,7 @@ def uhf_embeds(number: SupernaturalNumber, diagram: BratteliDiagram, depth: int)
 
 def rational_subgroup_witness(
     diagram: BratteliDiagram, entries: Sequence[int], stage: int, depth: int
-) -> Optional[tuple[Fraction, int]]:
+) -> Optional[tuple[Rational, int]]:
     """Search for a stage where the pushed vector is a rational multiple
     of the height vector.
 
@@ -613,7 +613,7 @@ def rational_subgroup_witness(
     at the first hit, or None if no stage up to `depth` works; on a
     repeating tail the search stops at s0 + k, where a miss is final.
     """
-    from fractions import Fraction
+    from .rational import Rational
     pushed = _levels(diagram, entries, stage, depth)
     units = _pushed(diagram, (1,), 0, depth)
     s0, k = _horizon(diagram, stage, depth)
@@ -625,11 +625,11 @@ def rational_subgroup_witness(
         # h is positive and primitive, so a parallel v is 0, h or -h
         if r == 0 or v == h or tuple(map(neg, v)) == h:
             c = math.prod(cs)
-            return Fraction(-c if v[0] < 0 else c, math.prod(gs)), s
+            return Rational(-c if v[0] < 0 else c, math.prod(gs)), s
     return None
 
 
-def scale_unit_stage(diagram: BratteliDiagram, x: Fraction, depth: int) -> DimensionVector:
+def scale_unit_stage(diagram: BratteliDiagram, x: Rational, depth: int) -> DimensionVector:
     """Represent x * [unit] as a concrete stage vector.
 
     The result appears at the first stage whose height gcd absorbs the
@@ -638,8 +638,8 @@ def scale_unit_stage(diagram: BratteliDiagram, x: Fraction, depth: int) -> Dimen
     (ValueError) only when `uhf_embeds` answers "no-certified", and "not
     yet divisible at depth" (DiagramError) otherwise.
     """
-    from fractions import Fraction
-    x = Fraction(x)
+    from .rational import Rational
+    x = Rational(x)
     witness = k0_unit_divisor(diagram, x.denominator, depth)
     if witness is not None:
         return DimensionVector(witness.stage, tuple(e * x.numerator for e in witness.entries))

@@ -107,10 +107,10 @@ def _parse_vector(text: str) -> tuple[int, ...]:
         raise InputError("bad integer vector %s" % clipped(text)) from None
 
 
-def _parse_fraction(text: str) -> Fraction:
-    from fractions import Fraction
+def _parse_rational(text: str) -> Rational:
+    from .rational import Rational
     try:
-        return Fraction(text)
+        return Rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError("bad rational %s: %s" % (clipped(text), reason(exc, text))) from None
 
@@ -125,10 +125,10 @@ def _parse_group_element(group, text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise InputError("quadratic elements look like 'q,z', got %s" % clipped(text))
-    from fractions import Fraction
+    from .rational import Rational
     echoed = parts[0]  # the text that the failing call echoes
     try:
-        return QuadraticElement(Fraction(parts[0]), int(echoed := parts[1]))
+        return QuadraticElement(Rational(parts[0]), int(echoed := parts[1]))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError("bad quadratic element %s: %s" % (clipped(text), reason(exc, echoed))) from None
 
@@ -218,7 +218,7 @@ def _rsub(args, diagram, depth):
 
 def _theta(args, diagram, depth):
     from .bratteli import scale_unit_stage
-    return _stage_witness(scale_unit_stage(diagram, _parse_fraction(args.x), depth), depth)
+    return _stage_witness(scale_unit_stage(diagram, _parse_rational(args.x), depth), depth)
 
 
 def _divide(args, diagram, depth):
@@ -445,7 +445,7 @@ def main(argv=None) -> int:
         status, payload = command.handler(args, subject, depth)
         try:
             pieces = [payload] if isinstance(payload, str) else _json_pieces(payload)
-        except ValueError:  # an integer, or a Fraction's term, past the digit limit
+        except ValueError:  # an integer, or a Rational's term, past the digit limit
             return _emit_error("the answer holds an integer of more than %d digits, Python's "
                                "int-to-str limit (sys.get_int_max_str_digits)" % _max_digits(), "limit")
         sys.stdout.writelines(pieces)

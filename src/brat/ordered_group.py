@@ -102,12 +102,12 @@ class CyclicOrderedGroup(Record):
 class QuadraticElement(Record):
     """The real number q + z*sqrt(d), with d carried by the group."""
 
-    q: Fraction
+    q: Rational
     z: int
 
     def __post_init__(self):
-        from fractions import Fraction
-        object.__setattr__(self, "q", Fraction(self.q))
+        from .rational import Rational
+        object.__setattr__(self, "q", Rational(self.q))
         as_int(self.z, "integer coefficient expected")
 
     def to_data(self) -> dict[str, object]:
@@ -115,23 +115,25 @@ class QuadraticElement(Record):
 
     @classmethod
     def from_data(cls, data) -> "QuadraticElement":
-        from fractions import Fraction
-        k = ""  # the text that Fraction's error echoes
+        from .rational import Rational
+        k = ""  # the text that Rational's error echoes
         try:
-            return cls(Fraction(k := str(data["k"])), data["z"])
+            return cls(Rational(k := str(data["k"])), data["z"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError("bad quadratic element %s: %s" % (clipped(data), reason(exc, k))) from None
 
 
-def quadratic_sign(q: Fraction, z: int, d: int) -> int:
+def quadratic_sign(q: Rational, z: int, d: int) -> int:
     """Exact sign of q + z*sqrt(d) for square-free d >= 2.
 
-    When q and z do not disagree in sign, the sign is that of whichever
+    With q = a/b, b > 0, it is the sign of a + w*sqrt(d) for w = b*z.
+    When a and w do not disagree in sign, the sign is that of whichever
     term is nonzero.  Otherwise the larger magnitude wins: the sign is
-    sign(q) times that of q*q - d*z*z, which is never 0 because sqrt(d)
+    sign(a) times that of a*a - d*w*w, which is never 0 because sqrt(d)
     is irrational.
     """
-    x = (q or z) if q * z >= 0 else q * (q * q - d * z * z)
+    a, w = q.numerator, q.denominator * z
+    x = (a or w) if a * w >= 0 else a * (a * a - d * w * w)
     return (x > 0) - (x < 0)
 
 
@@ -209,7 +211,8 @@ def unit_divisor(group: OrderedGroup, n: int) -> Optional[GroupElement]:
     q, z = group.unit.q, group.unit.z
     if z % n:
         return None
-    candidate = QuadraticElement(q / n, z // n)
+    from .rational import Rational
+    candidate = QuadraticElement(Rational(q, n), z // n)
     if not group.h_number.contains(candidate.q):
         return None
     return candidate
@@ -245,7 +248,7 @@ def coprime_divisor_property(group: OrderedGroup) -> DivisorClosureReport:
     return DivisorClosureReport(True)
 
 
-def _rational_valuation(x: Fraction, p: int) -> int:
+def _rational_valuation(x: Rational, p: int) -> int:
     # p-adic valuation of a nonzero rational
     return valuation(x.numerator, p) - valuation(x.denominator, p)
 
@@ -301,10 +304,11 @@ def rational_subgroup_member(
         raise ValueError("quadratic group element expected, got %r" % (element,))
     if not group.is_member(element):
         raise ValueError("element %r lies outside the group" % (element,))
-    h, w = element.q, element.z
-    if w * group.unit.q != h * group.unit.z:
+    h, w, unit = element.q, element.z, group.unit
+    if w * unit.q.numerator * h.denominator != h.numerator * unit.z * unit.q.denominator:
         return None
-    ratio = h / group.unit.q
+    from .rational import Rational
+    ratio = Rational(h, unit.q)
     return (ratio.denominator, ratio.numerator)
 
 
@@ -314,7 +318,7 @@ def is_unperforated(group: OrderedGroup) -> bool:
     return isinstance(group, QuadraticIrrationalGroup) or group.generators[0] == 1
 
 
-def scale_unit(group: CyclicOrderedGroup, x: Fraction) -> int:
+def scale_unit(group: CyclicOrderedGroup, x: Rational) -> int:
     """The image of a rational x under the order isomorphism sending
     Q(max_supernatural(group)) onto the rational subgroup of the unit;
     concretely x * unit, an integer whenever x is admissible.
@@ -324,14 +328,14 @@ def scale_unit(group: CyclicOrderedGroup, x: Fraction) -> int:
     """
     if not isinstance(group, CyclicOrderedGroup) or not is_unperforated(group):
         raise ValueError("unsupported: the unit-scaling map needs the full nonnegative cone")
-    from fractions import Fraction
-    x = Fraction(x)
+    from .rational import Rational
+    x = Rational(x)
     # every divisor of the unit divides it in the full cone, so Q(max
-    # supernatural) holds x exactly when x * unit is an integer
-    value = x * group.unit
-    if value.denominator != 1:
+    # supernatural) holds x exactly when x * unit is an integer, that is
+    # when x's denominator divides the unit
+    if group.unit % x.denominator:
         raise ValueError("%s lies outside the rational group of the unit" % (x,))
-    return value.numerator
+    return x.numerator * (group.unit // x.denominator)
 
 
 def representable_with_denominator(m: int, q: int, p: int) -> bool:

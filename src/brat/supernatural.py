@@ -143,10 +143,10 @@ class SupernaturalNumber(Record):
         return math.prod(p ** min(j, e) for p, e in self.exponents
                          if p <= j or (p < bound and prime_index(p) <= j))
 
-    def contains(self, x: Fraction) -> bool:
+    def contains(self, x: Rational) -> bool:
         """Whether x lies in Q(self): the denominator divides self."""
-        from fractions import Fraction
-        return SupernaturalNumber.from_int(Fraction(x).denominator).divides(self)
+        from .rational import Rational
+        return SupernaturalNumber.from_int(Rational(x).denominator).divides(self)
 
     def to_data(self) -> dict[str, object]:
         """JSON-ready form: decimal prime keys in numeric order, values

@@ -249,6 +249,60 @@ def search_scaled_representation(unit: int, g: int, p: int, span: int = 4) -> bo
     return any(a * unit == g * p for a in range(-bound, bound + 1))
 
 
+def fraction(x) -> Fraction:
+    """The Fraction of a brat Rational, which does no arithmetic itself."""
+    return Fraction(x.numerator, x.denominator)
+
+
+# The quadratic group Q(h) + sqrt(d)*Z in Fraction arithmetic, with an
+# element as a pair (rational part, sqrt(d) coefficient): brat computes
+# with the integer terms of its own Rational instead.
+
+def fraction_sign(q: Fraction, z: int, d: int) -> int:
+    """Sign of q + z*sqrt(d): that of the term of larger magnitude, by squares
+    (they never tie, as sqrt(d) is irrational), or of q when z is 0."""
+    if z == 0 or q * q > d * z * z:
+        return (q > 0) - (q < 0)
+    return 1 if z > 0 else -1
+
+
+def fraction_in_group(h: SupernaturalNumber, q: Fraction) -> bool:
+    """Whether q lies in Q(h): the denominator divided out by h's primes, each
+    at most its exponent times, leaves 1."""
+    den = q.denominator
+    for p, e in h.items():
+        while den % p == 0 and (e is OMEGA or e > 0):
+            den, e = den // p, e if e is OMEGA else e - 1
+    return den == 1
+
+
+def fraction_unit_divisor(group, n: int):
+    """unit/n as (rational part, coefficient) when it lies in the group, else None."""
+    q, z = fraction(group.unit.q) / n, Fraction(group.unit.z, n)
+    return (q, int(z)) if z.denominator == 1 and fraction_in_group(group.h_number, q) else None
+
+
+def fraction_max_supernatural(group, cap: int = 40) -> SupernaturalNumber:
+    """p**k divides the unit for each k up to the exponent of p: counted up to
+    `cap`, where it stands for OMEGA, over the primes of h, q and z."""
+    q, z = fraction(group.unit.q), group.unit.z
+    candidates = set(group.h_number.primes) | set(factorize(abs(q.numerator))) | set(factorize(abs(z) or 1))
+    exponents = {}
+    for p in candidates:
+        k = 0
+        while k < cap and fraction_unit_divisor(group, p ** (k + 1)) is not None:
+            k += 1
+        exponents[p] = OMEGA if k == cap else k
+    return SupernaturalNumber(exponents)
+
+
+def fraction_rational_subgroup_member(group, h: Fraction, w: int):
+    """(m, q) with m*(h + w*sqrt(d)) = q*unit, reduced, or None: the element
+    is lambda*unit for lambda = h / unit.q exactly when w = lambda * unit.z."""
+    ratio = h / fraction(group.unit.q)
+    return (ratio.denominator, ratio.numerator) if ratio * group.unit.z == w else None
+
+
 def interval_sign(q: Fraction, z: int, d: int) -> int:
     """Sign of q + z*sqrt(d) from 1000-digit interval arithmetic."""
     from mpmath import iv

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import resource
+import runpy
 import shlex
 import subprocess
 import sys
@@ -864,6 +865,13 @@ def test_module_entry_point():
     assert proc.stdout == '{"mu": {"3": "inf"}, "exactness": "certified"}\n'
 
 
+def test_module_entry_point_in_process(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["brat", "mu", E55])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("brat", run_name="__main__")
+    assert (info.value.code, *capsys.readouterr()) == (0, '{"mu": {"3": "inf"}, "exactness": "certified"}\n', "")
+
+
 def test_propd_enumerates_divisors_of_a_large_unit(tmp_path):
     # 1000000000002 = 2 * 3 * 166666666667 has eight divisors; a scan of
     # every integer up to the unit would not finish
@@ -897,6 +905,12 @@ def test_out_of_memory_is_a_limit_error_not_a_no(tmp_path):
     proc = capped_brat("group", "divides", str(path), "--n", "1")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert json.loads(proc.stderr) == {"error": {"type": "limit", "message": "out of memory"}}
+
+
+def test_a_size_past_memory_is_a_limit_error_in_process(capsys):
+    # the replay of the towers would hold 10**20 levels, more than a tuple can: an OverflowError
+    assert run(capsys, "towers", E55, "--depth", str(10**20)) == (
+        2, "", '{"error": {"type": "limit", "message": "out of memory"}}\n')
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,12 +20,18 @@ from brat.ordered_group import (
     semigroup_member,
     unit_divisor,
 )
+from brat.rational import Rational
 from brat.supernatural import OMEGA, SupernaturalNumber
 from gen import ordered_groups
 from oracles import (
     brute_coprime_divisor_property,
     brute_max_supernatural_exponents,
     brute_unit_divisor,
+    fraction,
+    fraction_max_supernatural,
+    fraction_rational_subgroup_member,
+    fraction_sign,
+    fraction_unit_divisor,
     interval_sign,
     reachable_table,
     reference_coprime_divisor_property,
@@ -320,7 +326,7 @@ class TestQuadraticGroup:
         # n * x is the positive unit and n > 0, so x is positive with no sign test
         x = unit_divisor(group, n)
         if isinstance(x, QuadraticElement):
-            assert (n * x.q, n * x.z) == (group.unit.q, group.unit.z) and group.is_member(x)
+            assert (n * fraction(x.q), n * x.z) == (group.unit.q, group.unit.z) and group.is_member(x)
             assert quadratic_sign(x.q, x.z, group.alpha_square) == 1
         elif x is not None:
             assert n * x == group.unit and x >= 1
@@ -389,7 +395,7 @@ class TestRationalSubgroup:
         for w in (-4, -1, 0, 1, 2, 9):
             h = Fraction(3, 2) * w
             m, q = rational_subgroup_member(group, QuadraticElement(h, w))
-            assert m * h == q * group.unit.q
+            assert m * h == q * fraction(group.unit.q)
             assert m * w == q * group.unit.z
             assert rational_subgroup_member(group, QuadraticElement(h, w + 1)) is None
 
@@ -495,3 +501,19 @@ def test_is_unperforated():
 @given(ordered_groups().filter(lambda g: isinstance(g, CyclicOrderedGroup)))
 def test_cyclic_unperforation_is_membership_of_1(group):
     assert is_unperforated(group) == semigroup_member(group.generators, 1)
+
+
+@given(ordered_groups().filter(lambda g: isinstance(g, QuadraticIrrationalGroup)), st.integers(1, 12),
+       st.integers(-6, 6), st.integers(-30, 30), st.booleans())
+def test_quadratic_arithmetic_matches_the_fraction_reference(group, n, k, w, member):
+    q, z, d = fraction(group.unit.q), group.unit.z, group.alpha_square
+    for a, b in ((q, z), (q * k, w), (-q, z), (Fraction(k, n), w)):
+        assert quadratic_sign(Rational(a), b, d) == quadratic_sign(a, b, d) == fraction_sign(a, b, d)
+    witness = unit_divisor(group, n)
+    assert (witness if witness is None else (fraction(witness.q), witness.z)) == fraction_unit_divisor(group, n)
+    assert max_supernatural(group) == fraction_max_supernatural(group)
+    h = q * k if member else q * k + w  # q*k and integers lie in the group
+    element = (h, z * k) if member else (h, w)
+    found = rational_subgroup_member(group, QuadraticElement(*element))
+    assert found == fraction_rational_subgroup_member(group, *element)
+    assert (found is not None) >= member

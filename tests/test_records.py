@@ -24,10 +24,11 @@ from brat.ordered_group import (
     QuadraticElement,
     QuadraticIrrationalGroup,
 )
+from brat.rational import Rational
 from brat.supernatural import OMEGA, SupernaturalNumber
 
 FINDIM = BratteliDiagram((1, 2), (((4,), (6,)),), None)
-HALF = QuadraticElement(Fraction(1, 2), 0)
+HALF = QuadraticElement(Rational(1, 2), 0)
 
 # one normalized instance per class, as (class, field values in order)
 RECORDS = [
@@ -41,7 +42,8 @@ RECORDS = [
     (CatalogEntry, dict(name="findim-4-6", kind="diagram", payload=FINDIM, note="M_4 + M_6",
                         expected={"mu": {"value": {"2": 1}, "exactness": "certified"}})),
     (CyclicOrderedGroup, dict(generators=(2, 3), unit=6)),
-    (QuadraticElement, dict(q=Fraction(1, 2), z=-3)),
+    (QuadraticElement, dict(q=Rational(1, 2), z=-3)),
+    (Rational, dict(numerator=1, denominator=2)),
     (QuadraticIrrationalGroup, dict(h_number=SupernaturalNumber({2: OMEGA}), alpha_square=2,
                                     unit=HALF)),
     (DivisorClosureReport, dict(holds=False, counterexample=(2, 3))),
@@ -121,8 +123,9 @@ def test_post_init_normalizes():
     diagram = BratteliDiagram([1, 2], [[[4], [6]]])
     assert (diagram.levels, diagram.matrices) == ((1, 2), (((4,), (6,)),))
     assert CyclicOrderedGroup([3, 2, 3], 6).generators == (2, 3)
-    assert QuadraticElement(1, 2).q == Fraction(1)
-    assert isinstance(QuadraticElement(1, 2).q, Fraction)
+    assert QuadraticElement(Fraction(2, 4), 2).q == Fraction(1, 2)
+    assert isinstance(QuadraticElement(1, 2).q, Rational)
+    assert (Rational(6, -4).numerator, Rational(6, -4).denominator) == (-3, 2)
     assert DimensionVector(0, [True, 2]).entries == (1, 2)
     assert Premorphism([0], [[[1]]]).matrices == (((1,),),)
 
@@ -152,12 +155,12 @@ def test_validation_errors(build, message):
 
 
 # a plain request loads none of these, nor the layers listed with it
-UNUSED_AT_START = {"dataclasses", "inspect", "argparse", "gettext", "locale", "fractions", "decimal"}
+UNUSED_AT_START = {"dataclasses", "inspect", "argparse", "gettext", "locale", "fractions", "decimal", "numbers"}
 PLAIN_REQUESTS = [
-    (["mu", "catalog:example-5.5"], {"brat.ordered_group", "brat.dot"}),
-    (["sn", "mul", '{"2":1}', '{"3":1}'], {"brat.bratteli"}),
-    (["group", "maxsn", "catalog:cone-2-3-unit-2"], set()),
-    (["catalog"], set()),
+    (["mu", "catalog:example-5.5"], {"brat.ordered_group", "brat.dot", "brat.rational"}),
+    (["sn", "mul", '{"2":1}', '{"3":1}'], {"brat.bratteli", "brat.rational"}),
+    (["group", "maxsn", "catalog:cone-2-3-unit-2"], {"brat.rational"}),
+    (["catalog"], {"brat.rational"}),
 ]
 
 
@@ -175,6 +178,17 @@ def test_import_loads_neither_dataclasses_nor_inspect():
         loaded = set(proc.stderr.split())
         assert proc.returncode == 0 and proc.stdout and "brat.cli" in loaded
         assert loaded & (UNUSED_AT_START | layers) == set(), argv
+
+
+def test_rational_requests_load_neither_fractions_nor_decimal():
+    # the exit statuses, then what of the three the requests loaded
+    code = ("import sys; from brat.cli import main\n"
+            "statuses = [main(['theta', 'catalog:example-5.5', '--x', '1/3']),\n"
+            "            main(['rsub', 'catalog:example-5.5', '--stage', '1', '--vector', '1,2']),\n"
+            "            main(['group', 'maxsn', 'catalog:quadratic-sqrt2'])]\n"
+            "print(statuses, sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert (proc.stdout.splitlines()[-1], proc.stderr) == ("[0, 1, 0] []", "")
 
 
 def test_each_public_name_loads_from_its_submodule(monkeypatch):

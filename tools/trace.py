@@ -7,9 +7,8 @@ Run from the repository root with Python 3.12 or later:
 
 It runs pytest in this process with `sys.monitoring` LINE and BRANCH
 callbacks, then prints:
-- each statement of src/brat that no test executed in process, with the
-  test that runs it in a subprocess, or "no test".  A statement is the first
-  line of an `ast` statement that is not a docstring.
+- each statement of src/brat that no test executed in process.  A statement
+  is the first line of an `ast` statement that is not a docstring.
 - the count of statements executed.
 - each branch site of src/brat (a conditional jump, loop test or
   short-circuit in the bytecode) that ran and always went the same way: the
@@ -20,11 +19,10 @@ callbacks, then prints:
   missing test.
 - the counts of branch sites that went one way and both ways.
 
-Tests that run brat in a subprocess execute nothing in this process, so a
-statement that only they run is listed in SUBPROCESS, by module and stripped
-source text.  The exit status is 1 when pytest fails, or when the statements
-missed in process differ from SUBPROCESS, both for a statement no test runs
-and for an entry that is stale; else 0.  Branch sites only print.
+Tests that run brat in a subprocess execute nothing in this process, so
+each statement needs a test that runs it in process.  The exit status is 1
+when pytest fails or a statement was missed, else 0.  Branch sites only
+print.
 """
 
 import ast
@@ -36,13 +34,6 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent / "src" / "brat"
-# (module, stripped source text) of each statement only a subprocess test runs: that test
-SUBPROCESS = {
-    ("__main__.py", "from .cli import main"): "test_module_entry_point",
-    ("__main__.py", 'if __name__ == "__main__":'): "test_module_entry_point",
-    ("__main__.py", "raise SystemExit(main())"): "test_module_entry_point",
-    ("cli.py", 'return _emit_error("out of memory", "limit")'): "test_out_of_memory_is_a_limit_error_not_a_no",
-}
 TOOL = sys.monitoring.COVERAGE_ID
 IMPLICIT = {"CHECK_EXC_MATCH", "CHECK_EG_MATCH", "WITH_EXCEPT_START"}  # the jump after one of these
 # the outcome of a site that always jumped, and of one that never did
@@ -110,11 +101,7 @@ def main(argv: list[str]) -> int:
         missed += [(path.name, n, linecache.getline(str(path), n).strip())
                    for n in sorted(lines) if (str(path), n) not in ran]
     for module, n, source in missed:
-        print("%s:%d: `%s` runs in %s" % (module, n, source, SUBPROCESS.get((module, source), "no test")))
-    left = {(module, source) for module, _, source in missed}
-    for module, source in sorted(SUBPROCESS.keys() - left):
-        print("%s: `%s` is listed for %s, but ran in process or is gone"
-              % (module, source, SUBPROCESS[module, source]))
+        print("%s:%d: `%s` runs in no test in process" % (module, n, source))
     print("executed %d of %d statements" % (total - len(missed), total))
     sites = [(describe(code, offset, min(went)), len(went)) for (code, offset), went in seen.items()]
     one_way = sorted(site for site, ways in sites if site is not None and ways == 1)
@@ -122,7 +109,7 @@ def main(argv: list[str]) -> int:
         print("%s:%d:%d: `%s` %s" % site)
     both = sum(site is not None and ways == 2 for site, ways in sites)
     print("%d branch sites went one way, %d both ways" % (len(one_way), both))
-    return int(failed or left != SUBPROCESS.keys())
+    return int(failed or bool(missed))
 
 
 if __name__ == "__main__":
