@@ -2,7 +2,20 @@
 fields as annotations, in order, and a class attribute of the same name
 is that field's default.  `__post_init__`, if defined, validates and
 normalizes fields with `object.__setattr__`, and `as_int` is the check
-its integer fields share.  `clipped` and `reason` keep an echoed input short."""
+its integer fields share.  `clipped` and `reason` keep an echoed input short;
+`max_digits` reads Python's int-to-str digit limit, and `LimitError`
+refuses what would pass it."""
+
+import sys
+
+
+class LimitError(OverflowError):
+    """A request refused for its size: the CLI reports it as a `limit` error."""
+
+
+def max_digits() -> int:
+    """Python's int-to-str digit limit; 0, or no such limit before 3.10.7, means none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def _cut(text: str) -> str:

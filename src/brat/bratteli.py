@@ -67,14 +67,12 @@ in a form the walk builds once, chosen from A by an operation count:
   would cost more than the elimination.  A singular A keeps the plain gcd.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from functools import cached_property, partial, reduce
 from itertools import accumulate, chain, cycle, islice, repeat
 from operator import add, lshift, mul, neg, or_
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from ._record import Record, as_int, clipped
 from .primes import factorize, prime_index, valuation
@@ -164,7 +162,7 @@ class Violation(Record):
 
     kind: str
     level: int
-    position: Optional[int]
+    position: int | None
     message: str
 
 
@@ -173,7 +171,7 @@ class BratteliDiagram(Record):
 
     levels: tuple[int, ...]
     matrices: tuple[Matrix, ...]
-    tail: Optional[str] = None
+    tail: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(as_int(k, "levels must be integers") for k in self.levels))
@@ -280,7 +278,7 @@ class TowerProfile(Record):
 
     walked: tuple[int, ...]
     kept: tuple[tuple[int, ...], ...]
-    period: Optional[int]
+    period: int | None
     depth: int
 
     def _replayed(self, levels: tuple) -> tuple:
@@ -384,8 +382,8 @@ class PremorphismReport(Record):
     """Outcome of checking the commuting squares of a premorphism."""
 
     ok: bool
-    level: Optional[int] = None
-    kind: Optional[str] = None  # "shape" or "commutativity"
+    level: int | None = None
+    kind: str | None = None  # "shape" or "commutativity"
 
 
 def _validated_depth(diagram: BratteliDiagram, depth: int) -> None:
@@ -580,7 +578,7 @@ def verify_premorphism(
     return PremorphismReport(True)
 
 
-def k0_unit_divisor(diagram: BratteliDiagram, n: int, depth: int) -> Optional[DimensionVector]:
+def k0_unit_divisor(diagram: BratteliDiagram, n: int, depth: int) -> DimensionVector | None:
     """A stage witness that n divides the class of the unit.
 
     Returns the first stage s <= depth where n divides the height gcd,
@@ -604,7 +602,7 @@ def uhf_embeds(number: SupernaturalNumber, diagram: BratteliDiagram, depth: int)
 
 def rational_subgroup_witness(
     diagram: BratteliDiagram, entries: Sequence[int], stage: int, depth: int
-) -> Optional[tuple[Rational, int]]:
+) -> "tuple[Rational, int] | None":
     """Search for a stage where the pushed vector is a rational multiple
     of the height vector.
 
@@ -629,7 +627,7 @@ def rational_subgroup_witness(
     return None
 
 
-def scale_unit_stage(diagram: BratteliDiagram, x: Rational, depth: int) -> DimensionVector:
+def scale_unit_stage(diagram: BratteliDiagram, x: "Rational", depth: int) -> DimensionVector:
     """Represent x * [unit] as a concrete stage vector.
 
     The result appears at the first stage whose height gcd absorbs the
@@ -650,7 +648,7 @@ def scale_unit_stage(diagram: BratteliDiagram, x: Rational, depth: int) -> Dimen
 
 def divide_element(
     diagram: BratteliDiagram, entries: Sequence[int], stage: int, m: int, depth: int
-) -> Optional[DimensionVector]:
+) -> DimensionVector | None:
     """Divide a nonnegative stage vector by m inside the dimension group.
 
     Pushing forward never destroys divisibility, so the first stage

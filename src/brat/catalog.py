@@ -30,10 +30,7 @@ first stage from which every stage ratio is 1, where the tail repeats;
 the certified invariant is then exactly the factorization of n.
 """
 
-from __future__ import annotations
-
-import json
-
+from ._jsontext import dumps, loads
 from ._record import Record
 from .supernatural import SupernaturalNumber
 
@@ -41,7 +38,7 @@ from .supernatural import SupernaturalNumber
 class CatalogEntry(Record):
     name: str
     kind: str  # "diagram" or "group"
-    payload: BratteliDiagram | OrderedGroup
+    payload: "BratteliDiagram | OrderedGroup"
     note: str
     expected: dict
 
@@ -110,7 +107,7 @@ def get_entry(name: str) -> CatalogEntry:
             from .bratteli import BratteliDiagram
             kind, payload = "diagram", BratteliDiagram.from_data(data)
         # a JSON round trip copies `expected`, so no caller can change the table
-        return CatalogEntry(name, kind, payload, entry["note"], json.loads(json.dumps(entry["expected"])))
+        return CatalogEntry(name, kind, payload, entry["note"], loads(dumps(entry["expected"])))
     if name.startswith("uhf-"):
         suffix = name[len("uhf-"):]
         try:

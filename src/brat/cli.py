@@ -9,15 +9,12 @@ deterministic byte for byte, and any output that depends on a depth
 truncation says so inline.
 """
 
-from __future__ import annotations
-
-import json
 import math
 import sys
 import types
-from typing import Callable, NamedTuple, Optional
 
-from ._record import clipped, reason
+from ._jsontext import dumps, loads
+from ._record import LimitError, clipped, max_digits, reason
 from .supernatural import SupernaturalNumber
 
 DEFAULT_DEPTH = 16
@@ -28,13 +25,13 @@ class InputError(ValueError):
 
 
 def _emit_error(message: str, kind: str = "input") -> int:
-    sys.stderr.write(json.dumps({"error": {"type": kind, "message": message}}) + "\n")
+    sys.stderr.write(dumps({"error": {"type": kind, "message": message}}) + "\n")
     return 2
 
 
-def _max_digits() -> int:
-    """Python's int-to-str digit limit; 0, or no such limit before 3.10.7, means none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+def _too_many_digits() -> LimitError:
+    return LimitError("the answer holds an integer of more than %d digits, Python's int-to-str limit "
+                      "(sys.get_int_max_str_digits)" % max_digits())
 
 
 def _json_pieces(payload: dict) -> list[str]:
@@ -43,16 +40,15 @@ def _json_pieces(payload: dict) -> list[str]:
     Each top-level list of lists is encoded one row per string, so no one
     string holds a large answer.  An integer past the digit limit raises
     ValueError."""
-    encode = json.JSONEncoder(default=str).encode
     pieces = []
     for key, value in payload.items():
-        pieces += [", " if pieces else "{", encode(key), ": "]
+        pieces += [", " if pieces else "{", dumps(key), ": "]
         if not (isinstance(value, list) and value and all(isinstance(row, list) for row in value)):
-            pieces.append(encode(value))
+            pieces.append(dumps(value))
             continue
         pieces.append("[")
         for row in value:  # the encoder separates items with ", " at every depth
-            pieces += [encode(row), ", "]
+            pieces += [dumps(row), ", "]
         pieces[-1] = "]"
     return pieces + ["}", "\n"]
 
@@ -75,10 +71,14 @@ def _load(source: str, want: str):
         return entry.payload
     try:
         with open(source, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            text = handle.read()
     except OSError as exc:
         raise InputError("cannot read %r: %s" % (source, exc)) from None
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply to decode
+    try:
+        data = loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or a plain ValueError for an integer past the digit limit
+        if type(exc) is ValueError:  # main reports it in Python's words
+            raise
         raise InputError("bad JSON in %r: %s" % (source, exc)) from None
     if want == "diagram":
         from .bratteli import BratteliDiagram
@@ -87,7 +87,7 @@ def _load(source: str, want: str):
     return group_from_data(data)
 
 
-def _depth_for(diagram: BratteliDiagram, requested) -> int:
+def _depth_for(diagram: "BratteliDiagram", requested) -> int:
     if requested is not None:
         return requested
     return DEFAULT_DEPTH if diagram.is_infinite else diagram.given_depth
@@ -95,8 +95,8 @@ def _depth_for(diagram: BratteliDiagram, requested) -> int:
 
 def _parse_supernatural(text: str) -> SupernaturalNumber:
     try:
-        return SupernaturalNumber.from_data(json.loads(text))
-    except (json.JSONDecodeError, ValueError, RecursionError) as exc:
+        return SupernaturalNumber.from_data(loads(text))
+    except ValueError as exc:
         raise InputError("bad supernatural number %s: %s" % (clipped(text), exc)) from None
 
 
@@ -107,7 +107,7 @@ def _parse_vector(text: str) -> tuple[int, ...]:
         raise InputError("bad integer vector %s" % clipped(text)) from None
 
 
-def _parse_rational(text: str) -> Rational:
+def _parse_rational(text: str) -> "Rational":
     from .rational import Rational
     try:
         return Rational(text)
@@ -158,9 +158,9 @@ def _towers(args, diagram, depth):
     from .bratteli import tower_profile
     profile = tower_profile(diagram, depth)
     # the gcds form a divisibility chain, so the last one passes the digit limit
-    # exactly when some gcd does; main refuses it, and no height is built
-    if (gcd := math.prod(profile.ratios)) >= 10 ** _max_digits() > 1:
-        return 0, {"gcds": [gcd]}
+    # exactly when some gcd does; it is refused, and no height is built
+    if math.prod(profile.ratios) >= 10 ** max_digits() > 1:
+        raise _too_many_digits()
     return 0, {
         "depth": depth,
         "heights": [list(v) for v in profile.heights],
@@ -244,7 +244,10 @@ def _sn(args, subject, depth):
             stage = int(operands[1])
         except ValueError:
             raise InputError("bad stage %s" % clipped(operands[1])) from None
-        return 0, {"ell": number.ell(stage)}
+        try:
+            return 0, {"ell": number.ell(stage, max_digits())}
+        except LimitError:  # refused before any power is built
+            raise _too_many_digits() from None
     numbers = [_parse_supernatural(text) for text in operands]
     if op == "divides":
         if len(numbers) != 2:
@@ -297,12 +300,14 @@ def _catalog(args, subject, depth):
 
 # -- the command table ------------------------------------------------------
 
-class _Command(NamedTuple):
-    name: str
-    help: str
-    source: Optional[str]  # what main loads from "source": "diagram", "group" or None (validate loads its own)
-    arguments: tuple       # (name, add_argument options) pairs, in the order the parser adds them
-    handler: Callable
+class _Command:
+    """A row of the command table.  `source` is what main loads from the
+    "source" argument: "diagram", "group" or None (validate loads its own);
+    `arguments` holds (name, add_argument options) pairs, in the order the
+    parser adds them."""
+
+    def __init__(self, name: str, help: str, source, arguments: tuple, handler):
+        self.name, self.help, self.source, self.arguments, self.handler = name, help, source, arguments, handler
 
 
 _DIAGRAM = ("source", {"help": "diagram JSON file or catalog:NAME"})
@@ -446,10 +451,11 @@ def main(argv=None) -> int:
         try:
             pieces = [payload] if isinstance(payload, str) else _json_pieces(payload)
         except ValueError:  # an integer, or a Rational's term, past the digit limit
-            return _emit_error("the answer holds an integer of more than %d digits, Python's "
-                               "int-to-str limit (sys.get_int_max_str_digits)" % _max_digits(), "limit")
+            raise _too_many_digits() from None
         sys.stdout.writelines(pieces)
         return status
+    except LimitError as exc:
+        return _emit_error(str(exc), "limit")
     except ValueError as exc:
         return _emit_error(str(exc))
     except (MemoryError, OverflowError):  # OverflowError: a size past sys.maxsize, as of a sieve to a huge prime

@@ -6,8 +6,6 @@ output is deterministic: levels ascending, then source index, then
 target index.
 """
 
-from __future__ import annotations
-
 from .bratteli import BratteliDiagram, _validated_depth
 
 PARALLEL_EDGE_LIMIT = 4

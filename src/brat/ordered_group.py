@@ -21,12 +21,9 @@ divides by 2 and by 3 but not by 6) and the quadratic presentation
 never does, being weakly unperforated.
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Union
 
 from ._record import Record, as_int, clipped, reason
 from .primes import factorize, valuation
@@ -102,7 +99,7 @@ class CyclicOrderedGroup(Record):
 class QuadraticElement(Record):
     """The real number q + z*sqrt(d), with d carried by the group."""
 
-    q: Rational
+    q: "Rational"
     z: int
 
     def __post_init__(self):
@@ -123,7 +120,7 @@ class QuadraticElement(Record):
             raise ValueError("bad quadratic element %s: %s" % (clipped(data), reason(exc, k))) from None
 
 
-def quadratic_sign(q: Rational, z: int, d: int) -> int:
+def quadratic_sign(q: "Rational", z: int, d: int) -> int:
     """Exact sign of q + z*sqrt(d) for square-free d >= 2.
 
     With q = a/b, b > 0, it is the sign of a + w*sqrt(d) for w = b*z.
@@ -171,8 +168,8 @@ class QuadraticIrrationalGroup(Record):
         return self.h_number.contains(element.q)
 
 
-OrderedGroup = Union[CyclicOrderedGroup, QuadraticIrrationalGroup]
-GroupElement = Union[int, QuadraticElement]
+OrderedGroup = CyclicOrderedGroup | QuadraticIrrationalGroup
+GroupElement = int | QuadraticElement
 
 
 def group_from_data(data) -> OrderedGroup:
@@ -194,7 +191,7 @@ def group_from_data(data) -> OrderedGroup:
     raise ValueError("group kind must be 'cyclic' or 'quadratic', got %s" % clipped(kind))
 
 
-def unit_divisor(group: OrderedGroup, n: int) -> Optional[GroupElement]:
+def unit_divisor(group: OrderedGroup, n: int) -> GroupElement | None:
     """A positive witness x with n*x = unit, or None.
 
     Cyclic: x = unit/n must be an integer in the cone.  Quadratic:
@@ -222,7 +219,7 @@ class DivisorClosureReport(Record):
     """Outcome of the coprime-composition check on unit divisors."""
 
     holds: bool
-    counterexample: Optional[tuple[int, int]] = None
+    counterexample: tuple[int, int] | None = None
 
 
 def coprime_divisor_property(group: OrderedGroup) -> DivisorClosureReport:
@@ -248,12 +245,12 @@ def coprime_divisor_property(group: OrderedGroup) -> DivisorClosureReport:
     return DivisorClosureReport(True)
 
 
-def _rational_valuation(x: Rational, p: int) -> int:
+def _rational_valuation(x: "Rational", p: int) -> int:
     # p-adic valuation of a nonzero rational
     return valuation(x.numerator, p) - valuation(x.denominator, p)
 
 
-def max_supernatural(group: OrderedGroup) -> Optional[SupernaturalNumber]:
+def max_supernatural(group: OrderedGroup) -> SupernaturalNumber | None:
     """The maximum supernatural number all of whose finite divisors
     divide the unit, or None when coprime divisors fail to compose.
 
@@ -287,7 +284,7 @@ def max_supernatural(group: OrderedGroup) -> Optional[SupernaturalNumber]:
 
 def rational_subgroup_member(
     group: OrderedGroup, element: GroupElement
-) -> Optional[tuple[int, int]]:
+) -> tuple[int, int] | None:
     """Membership of `element` in the rational subgroup of the unit.
 
     An element g belongs when m*g = q*unit for some positive integer m
@@ -318,7 +315,7 @@ def is_unperforated(group: OrderedGroup) -> bool:
     return isinstance(group, QuadraticIrrationalGroup) or group.generators[0] == 1
 
 
-def scale_unit(group: CyclicOrderedGroup, x: Rational) -> int:
+def scale_unit(group: CyclicOrderedGroup, x: "Rational") -> int:
     """The image of a rational x under the order isomorphism sending
     Q(max_supernatural(group)) onto the rational subgroup of the unit;
     concretely x * unit, an integer whenever x is admissible.

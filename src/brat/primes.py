@@ -10,10 +10,7 @@ rho (Brent variant).  A prime's index is counted in a sieve local to
 the call, so nothing is kept between calls.
 """
 
-from __future__ import annotations
-
 import math
-import random
 
 # Deterministic witness set for n < 2**64.  These twelve bases stop
 # being enough at 318665857834031151167461 (~3.2e23), a strong
@@ -50,6 +47,7 @@ def is_prime(n: int) -> bool:
             return False
     if n < 2**64:
         return all(_miller_rabin(n, b) for b in _SMALL_BASES)
+    import random  # only past 2**64, so most requests never load it
     rng = random.Random(n)
     return all(_miller_rabin(n, rng.randrange(2, n - 1)) for _ in range(40))
 
@@ -57,6 +55,7 @@ def is_prime(n: int) -> bool:
 def _pollard_rho(n: int) -> int:
     # Brent's cycle finding; n must be odd and composite (prime powers
     # included).  Returns a nontrivial factor.
+    import random
     rng = random.Random(n ^ 0x5EED)
     while True:
         y = rng.randrange(1, n)

@@ -5,12 +5,15 @@ On every Python, `Rational(text)` reads the strings that Python 3.13's
 then `p/q` with optional spaces around the `/`, or a decimal with an
 optional point and an optional exponent (`e` or `E`); each run of digits
 may hold single underscores between digits, and spaces may surround the
-whole.  The parser splits the text with str methods and compiles nothing."""
+whole.  The parser splits the text with str methods and compiles nothing.
+A decimal with a nonzero mantissa and an exponent, whose digits plus the
+exponent's magnitude pass Python's int-to-str digit limit, raises
+LimitError before the power is built; with no limit (0) it is built."""
 
 import math
 import sys
 
-from ._record import Record, clipped
+from ._record import LimitError, Record, clipped, max_digits
 
 
 def _digits(text: str) -> bool:
@@ -42,7 +45,12 @@ def _terms(text: str) -> tuple[int, int]:
         d = 10 ** len(fraction)
         n = n * d + int(fraction or "0")
         power = int(exponent or "0")
-        n, d = (n * 10 ** power, d) if power >= 0 else (n, d * 10 ** -power)
+        size = len(top.replace("_", "")) + len(fraction) + abs(power)  # digits plus the exponent's magnitude
+        if n and e and 0 < max_digits() < size:  # refused before the power is built
+            raise LimitError("the rational %s counts %d digits with its exponent, more than Python's int-to-str "
+                             "limit of %d (sys.get_int_max_str_digits)" % (clipped(text), size, max_digits()))
+        if n:  # a zero mantissa spells 0 whatever its exponent
+            n, d = (n * 10 ** power, d) if power >= 0 else (n, d * 10 ** -power)
     return (-n if sign == "-" else n), d
 
 

@@ -13,13 +13,11 @@ natural (n < OMEGA, OMEGA <= OMEGA).  So +, <=, max, min and sorted
 act on exponents directly, and min(j, OMEGA) = j.
 """
 
-from __future__ import annotations
-
 import math
 from functools import total_ordering
-from typing import Iterable, Mapping, Union
+from collections.abc import Iterable, Mapping
 
-from ._record import Record, as_int, clipped
+from ._record import LimitError, Record, as_int, clipped
 from .primes import factorize, is_prime, prime_index
 
 
@@ -50,7 +48,7 @@ class _Omega:
 
 OMEGA = _Omega()
 
-Exponent = Union[int, _Omega]
+Exponent = int | _Omega
 
 
 class SupernaturalNumber(Record):
@@ -127,7 +125,7 @@ class SupernaturalNumber(Record):
         # a prime missing from any operand has exponent 0 there and drops out
         return SupernaturalNumber({p: min(sn.exponent(p) for sn in values) for p in values[0].primes})
 
-    def ell(self, j: int) -> int:
+    def ell(self, j: int, digits: int = 0) -> int:
         """The j-th canonical stage: prod over the first j primes p_i of
         p_i ** min(j, exponent(p_i)), with min(j, OMEGA) = j.
 
@@ -136,14 +134,21 @@ class SupernaturalNumber(Record):
         support prime p <= j is among the first j; one at or past
         j * (j.bit_length() + 2) lies above the j-th prime; only a support
         prime between the two has its index counted.
+
+        With `digits` > 0, a stage sure to have more decimal digits raises
+        LimitError before any power is built: each p ** k is at least
+        2 ** (k * (p.bit_length() - 1)), and 2 ** b > 10 ** digits once
+        b > digits * 3.3219281, just above log2(10).
         """
         if j < 1:
             raise ValueError("stage index must be >= 1, got %r" % (j,))
         bound = j * (j.bit_length() + 2)
-        return math.prod(p ** min(j, e) for p, e in self.exponents
-                         if p <= j or (p < bound and prime_index(p) <= j))
+        powers = [(p, min(j, e)) for p, e in self.exponents if p <= j or (p < bound and prime_index(p) <= j)]
+        if digits > 0 and sum(k * (p.bit_length() - 1) for p, k in powers) * 10**7 > digits * 33219281:
+            raise LimitError("ell(%d) has more than %d digits" % (j, digits))
+        return math.prod(p ** k for p, k in powers)
 
-    def contains(self, x: Rational) -> bool:
+    def contains(self, x: "Rational") -> bool:
         """Whether x lies in Q(self): the denominator divides self."""
         from .rational import Rational
         return SupernaturalNumber.from_int(Rational(x).denominator).divides(self)

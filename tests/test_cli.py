@@ -74,10 +74,6 @@ CATALOG_GOLDENS = {
     ),
 }
 
-# a JSON array nested past the decoder's recursion limit on every supported Python
-NESTED = "[" * 100000 + "]" * 100000
-
-
 def run(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
@@ -717,17 +713,21 @@ class TestLoading:
         status, _, err = run(capsys, "mu", str(path))
         assert status == 2 and "bad JSON" in json.loads(err)["error"]["message"]
 
-    @pytest.mark.parametrize("argv", [
-        ("mu", "FILE"), ("validate", "FILE"), ("group", "maxsn", "FILE"),
-        ("sn", "mul", NESTED, '{"2":1}'), ("embed", E55, "--uhf", NESTED),
-    ], ids=["mu", "validate", "group-maxsn", "sn-mul", "embed-uhf"])
-    def test_json_nested_too_deeply_is_an_input_error(self, capsys, tmp_path, argv):
+    # brat refuses nesting past 100 levels with one message on every Python: 1000
+    # deep, 3.11's decoder ran out of recursion while 3.12 and 3.13 decoded it
+    @pytest.mark.parametrize("argv, depth", [
+        (argv, depth) for depth in (100000, 1000, 5000) for argv in (
+            ("mu", "FILE"), ("validate", "FILE"), ("group", "maxsn", "FILE"),
+            ("sn", "mul", "NESTED", '{"2":1}'), ("embed", E55, "--uhf", "NESTED"))
+    ], ids=["%s%s" % (name, "" if depth == 100000 else "-%d-deep" % depth) for depth in (100000, 1000, 5000)
+            for name in ("mu", "validate", "group-maxsn", "sn-mul", "embed-uhf")])
+    def test_json_nested_too_deeply_is_an_input_error(self, capsys, tmp_path, argv, depth):
         path = tmp_path / "deep.json"
-        path.write_text(NESTED)
-        echoed = "'%s... (200002 characters)" % ("[" * 39)  # the operand, clipped
+        path.write_text("[" * depth + "]" * depth)
+        echoed = "'%s... (%d characters)" % ("[" * 39, 2 * depth + 2)  # the operand, clipped
         source = "bad JSON in %r" % str(path) if "FILE" in argv else "bad supernatural number " + echoed
-        message = source + ": maximum recursion depth exceeded while decoding a JSON array from a unicode string"
-        argv = [str(path) if word == "FILE" else word for word in argv]
+        message = source + ": Nested more than 100 deep: line 1 column 101 (char 100)"
+        argv = [str(path) if word == "FILE" else path.read_text() if word == "NESTED" else word for word in argv]
         assert run(capsys, *argv) == (2, "", json.dumps({"error": {"type": "input", "message": message}}) + "\n")
 
     @pytest.mark.parametrize("argv, data, message", [
@@ -1255,6 +1255,61 @@ def test_deep_towers_are_refused_at_the_digit_limit_under_the_memory_cap():
     assert json.loads(proc.stderr) == {"error": {"type": "limit", "message": (
         "the answer holds an integer of more than 4300 digits, Python's int-to-str limit "
         "(sys.get_int_max_str_digits)")}}
+
+
+DIGIT_LIMIT = ('{"error": {"type": "limit", "message": "the answer holds an integer of more than 4300 digits, '
+               'Python\'s int-to-str limit (sys.get_int_max_str_digits)"}}\n')
+
+
+@pytest.mark.parametrize("number, stage", [
+    ('{"2":"inf"}', "100000000"), ('{"2":"inf"}', "1000000000"), ('{"2":"inf"}', "14285"),
+    ('{"2":"inf","1000003":"inf"}', str(10**30)), ('{"3":"inf"}', "9013"),
+])
+def test_ell_past_the_digit_limit_is_refused_before_its_power_is_built(number, stage):
+    # a bound from bit lengths refuses 2**14285, the first power of 2 past
+    # 4300 digits, and every larger stage at once (building 2**(10**9) took
+    # 5.7 s); 3**9013, just past the limit where that bound cannot tell, is
+    # built and refused by the writer
+    proc = capped_brat("sn", "ell", number, stage, cpu_s=1)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", DIGIT_LIMIT)
+
+
+@pytest.mark.parametrize("number, stage, value", [('{"2":"inf"}', "14284", 2**14284), ('{"3":"inf"}', "9012", 3**9012)])
+def test_ell_just_under_the_digit_limit_prints(capsys, number, stage, value):
+    assert len(str(value)) == 4300
+    assert run(capsys, "sn", "ell", number, stage) == (0, '{"ell": %d}\n' % value, "")
+    assert run(capsys, "sn", "ell", number, str(int(stage) + 1)) == (2, "", DIGIT_LIMIT)
+
+
+def test_an_integer_past_the_digit_limit_in_a_diagram_file_is_reported_as_python_words_it(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"levels": [1, 1], "matrices": [[[%s]]]}' % ("7" * 5000))
+    assert run(capsys, "mu", str(path)) == (2, "", json.dumps({"error": {"type": "input", "message": (
+        "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
+        "use sys.set_int_max_str_digits() to increase the limit")}}) + "\n")
+
+
+def rational_limit(text, size):
+    return json.dumps({"error": {"type": "limit", "message": (
+        "the rational %r counts %d digits with its exponent, more than Python's int-to-str limit of 4300 "
+        "(sys.get_int_max_str_digits)" % (text, size))}}) + "\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("theta", E55, "--x", "1e10000000"), "1e10000000"), (("theta", E55, "--x", "1e-10000000"), "1e-10000000"),
+    (("group", "rsub", "catalog:quadratic-sqrt2", "--g=-2.5e-10000000,0"), "-2.5e-10000000"),
+], ids=["theta-positive", "theta-negative", "group-rsub"])
+def test_a_rational_exponent_past_the_digit_limit_is_refused_before_its_power_is_built(argv, text):
+    proc = capped_brat(*argv, cpu_s=1)
+    size = sum(map(str.isdigit, text.partition("e")[0])) + 10000000
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", rational_limit(text, size))
+
+
+def test_a_rational_exponent_just_under_the_digit_limit_is_read(capsys):
+    # 1.5e4298 counts 2 + 4298 = 4300 digits, the limit itself; 15e4299 counts one more
+    assert run(capsys, "theta", E55, "--x", "1.5e4298") == (
+        0, '{"stage": 0, "vector": [%d]}\n' % (15 * 10**4297), "")
+    assert run(capsys, "theta", E55, "--x", "15e4299") == (2, "", rational_limit("15e4299", 4301))
 
 
 def parsed(capsys, parse, argv):

@@ -1,0 +1,129 @@
+"""brat's JSON reader and writer against the json module: `loads` gives
+json.loads's value or its exception, `dumps` gives json.dumps(value,
+default=str), and a document of at most SMALL characters in brat's subset
+is read without importing json."""
+
+import json
+import subprocess
+import sys
+from enum import IntEnum
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from brat._jsontext import DEPTH, SMALL, dumps, loads
+
+# what JSON documents hold: every scalar json.loads returns, nested a few deep
+VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40) | st.floats(allow_nan=False)
+    | st.text(max_size=6) | st.sampled_from(["inf", "repeat-last", "", "[", "}", ",", ":", "é", "\x7f", "a\\b"]),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=12)
+WHITESPACE = st.text(alphabet=" \t\n\r", max_size=2)
+
+
+@st.composite
+def documents(draw):
+    """json.dumps of a drawn value, with drawn whitespace around its separators and the whole."""
+    separators = (draw(WHITESPACE) + "," + draw(WHITESPACE), draw(WHITESPACE) + ":" + draw(WHITESPACE))
+    text = json.dumps(draw(VALUES), ensure_ascii=draw(st.booleans()), separators=separators)
+    return draw(WHITESPACE) + text + draw(WHITESPACE)
+
+
+@st.composite
+def mutated(draw):
+    """A document with one character inserted, deleted or replaced."""
+    text = draw(documents())
+    at = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from(' \t\n\x0b"\\,:[]{}-+.0123eEtrufalsnNI\x00é\ufeff') | st.characters())
+    return draw(st.sampled_from([text[:at] + char + text[at:], text[:at] + text[at + 1:],
+                                 text[:at] + char + text[at + 1:]]))
+
+
+def outcome(read, text):
+    """read(text)'s value, or the type and message of its error."""
+    try:
+        return "value", read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@given(documents() | mutated())
+def test_loads_gives_json_s_value_or_error(text):
+    assert outcome(loads, text) == outcome(json.loads, text)
+
+
+@pytest.mark.parametrize("text", [
+    '{"levels": [1, 2', '\ufeff{"2": 1}', '[1] 2', '{"2": 1} x', "NaN", "[Infinity, -Infinity]", "1.5", "1e3",
+    "1" * 5000, "[%s]" % ("1" * 4301), '{"é": 1, "\\u00e9": 2}', '["a\\"b", "\\\\", "\\n", "\\ud800"]', "01",
+    "-", "-0", "[1,]", "{,}", '{"a" 1}', '{"a":}', "[]", "{}", '""', "true", "nul", "", " ", "[\x0b1]",
+    '["\x01"]', '"\x7f"', "[1]\n", '{"a": 1, "a": 2}', '{"a": 1,}', '"%s"' % ("[" * 3000),
+], ids=lambda text: repr(text)[:40])
+def test_json_edge_cases_read_as_json_reads_them(text):
+    assert outcome(loads, text) == outcome(json.loads, text)
+
+
+def small_document(size):
+    """A diagram document of exactly `size` characters, padded with a note."""
+    head = '{"levels": [1, 2, 2], "matrices": [[[1], [1]], [[2, 1], [1, 2]]], "tail": "repeat-last", "note": "'
+    return head + "x" * (size - len(head) - 2) + '"}'
+
+
+@pytest.mark.parametrize("size, imports_json", [(SMALL, False), (SMALL + 1, True)])
+def test_documents_on_each_side_of_small(size, imports_json):
+    text = small_document(size)
+    assert len(text) == size
+    code = ("import sys; from brat._jsontext import loads; value = loads(sys.stdin.read())\n"
+            "print(repr(value)); print('json' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], input=text, capture_output=True, text=True, timeout=60)
+    assert (proc.stdout, proc.stderr) == ("%r\n%s\n" % (json.loads(text), imports_json), "")
+
+
+@pytest.mark.parametrize("depth", [DEPTH, DEPTH + 1, 1000, 5000])
+@pytest.mark.parametrize("shape", ["array", "object", "truncated", "escaped", "extra-data"])
+def test_nesting_past_depth_is_refused_at_its_first_bracket(shape, depth):
+    opener, closer = {"array": ("[", "]"), "object": ('{"k": ', "}"), "truncated": ("[", ""),
+                      "escaped": ('["\\"[", ', "]"), "extra-data": ("[", "]")}[shape]
+    # extra data past SMALL: json.loads decodes the nest, then fails after it
+    text = opener * depth + "1" + closer * depth + (" " * SMALL + "x" if shape == "extra-data" else "")
+    if depth <= DEPTH:
+        assert outcome(loads, text) == outcome(json.loads, text)
+        return
+    with pytest.raises(json.JSONDecodeError) as caught:
+        loads(text)
+    at = len(opener) * DEPTH  # each opener starts with its bracket; the quoted "[" does not count
+    assert str(caught.value) == "Nested more than %d deep: line 1 column %d (char %d)" % (DEPTH, at + 1, at)
+
+
+class Small(IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("value", [
+    0, -7, 10**100, True, False, None, "", "plain text", 'a "quote"', "back\\slash", "é", "\x7f", "tab\t",
+    [], (), (1, 2), [1, True], [1, None, "x"], {}, {"a": (1, [2])}, {1: 2}, {None: 1, True: 2}, {"a": {2.5: 1}},
+    1.5, float("nan"), float("inf"), [1.0], Fraction(1, 3), [Fraction(-2, 4)], {"x": Fraction(5)}, Small.ONE,
+    [Small.ONE], type("Text", (str,), {})("sub"), {type("Key", (str,), {})("k"): 1},
+], ids=repr)
+def test_dumps_is_json_dumps_with_default_str(value):
+    assert dumps(value) == json.dumps(value, default=str)
+
+
+def test_dumps_refuses_an_integer_past_the_digit_limit_as_json_does():
+    limit = sys.get_int_max_str_digits()
+    for value in (10**limit, [1, 10**limit], {"a": [10**limit]}):
+        assert outcome(dumps, value) == outcome(lambda v: json.dumps(v, default=str), value)
+        assert outcome(dumps, value)[0] is ValueError
+
+
+def test_an_integer_past_the_digit_limit_is_refused_as_json_refuses_it():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the lowest limit Python allows, so a small document passes it
+    try:
+        text = "[1, %s]" % ("7" * 700)
+        assert len(text) <= SMALL and outcome(loads, text)[0] is ValueError
+        assert outcome(loads, text) == outcome(json.loads, text)
+    finally:
+        sys.set_int_max_str_digits(limit)

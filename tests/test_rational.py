@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from brat._record import LimitError
 from brat.rational import Rational
 
 # what Fraction(str) accepts on every supported Python: 3.10 has no
@@ -18,6 +19,16 @@ COMMON = r"\s*[-+]?(\d{1,30}/\d{1,30}|(\d{1,30}(\.\d{0,30})?|\.\d{1,30})([eE][-+
 DIGITS = r"\d+(_\d+)*"
 GRAMMAR_313 = re.compile(r"\s*[-+]?(?=\d|\.\d)(%s\s*/\s*%s|(%s)?(\.(%s)?)?([eE][-+]?%s)?)\s*"
                          % ((DIGITS,) * 5))
+
+
+def size_past_the_digit_limit(text):
+    """A decimal literal's digits plus its exponent's magnitude, when it has a
+    nonzero mantissa and an exponent and they pass Python's int-to-str limit
+    (brat refuses it); else 0."""
+    mantissa, e, exponent = text.strip().replace("E", "e").partition("e")
+    digits = "".join(filter(str.isdecimal, mantissa))
+    size = len(digits) + abs(int(exponent or "0"))
+    return size if e and int(digits) and 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < size else 0
 
 
 def outcome(parse, text):
@@ -36,6 +47,10 @@ def test_reads_what_every_python_s_fraction_reads(text):
 @settings(max_examples=500)
 @given(st.text(alphabet="0123456789+-/._eE \t٣", max_size=12))
 def test_accepts_exactly_python_3_13_s_grammar(text):
+    if GRAMMAR_313.fullmatch(text) and size_past_the_digit_limit(text):
+        with pytest.raises(LimitError, match=" counts %d digits " % size_past_the_digit_limit(text)):
+            Rational(text)
+        return
     got = outcome(Rational, text)
     if GRAMMAR_313.fullmatch(text):
         # the Fraction of the text without what Python 3.10 or 3.11 refuses:
@@ -45,6 +60,20 @@ def test_accepts_exactly_python_3_13_s_grammar(text):
         assert got == (ValueError, "Invalid literal for Fraction: %r" % text)
     if sys.version_info >= (3, 13):
         assert got == outcome(Fraction, text)
+
+
+@pytest.mark.parametrize("text", ["0e5000", "-0.000e-10000000", "٠e9999"])
+def test_a_zero_mantissa_is_0_whatever_its_exponent(text):
+    assert Rational(text) == 0
+
+
+def test_with_no_digit_limit_an_exponent_is_expanded():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Rational("1e5000") == 10**5000 and Rational("-2.5e-5000") == Fraction(-25, 10**5001)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("text, value", [

@@ -154,17 +154,22 @@ def test_validation_errors(build, message):
         build()
 
 
-# a plain request loads none of these, nor the layers listed with it
-UNUSED_AT_START = {"dataclasses", "inspect", "argparse", "gettext", "locale", "fractions", "decimal", "numbers"}
+# a plain request loads none of these, nor the layers listed with it; FILE is a
+# small diagram file, which brat reads without json
+UNUSED_AT_START = {"dataclasses", "inspect", "argparse", "gettext", "locale", "fractions", "decimal", "numbers",
+                   "json", "typing", "random", "__future__"}
 PLAIN_REQUESTS = [
     (["mu", "catalog:example-5.5"], {"brat.ordered_group", "brat.dot", "brat.rational"}),
+    (["mu", "FILE"], {"brat.ordered_group", "brat.dot", "brat.rational", "brat.catalog"}),
     (["sn", "mul", '{"2":1}', '{"3":1}'], {"brat.bratteli", "brat.rational"}),
     (["group", "maxsn", "catalog:cone-2-3-unit-2"], {"brat.rational"}),
     (["catalog"], {"brat.rational"}),
 ]
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
+def test_import_loads_neither_dataclasses_nor_inspect(tmp_path):
+    (tmp_path / "fib.json").write_text('{"levels": [1, 2, 2], "matrices": [[[1], [1]], [[1, 1], [1, 0]]], '
+                                       '"tail": "repeat-last"}')
     code = ("import sys; before = set(sys.modules); import brat, brat.cli; "
             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
@@ -174,6 +179,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
             "try: runpy.run_module('brat', run_name='__main__')\n"
             "finally: sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))")
     for argv, layers in PLAIN_REQUESTS:
+        argv = [str(tmp_path / "fib.json") if word == "FILE" else word for word in argv]
         proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60)
         loaded = set(proc.stderr.split())
         assert proc.returncode == 0 and proc.stdout and "brat.cli" in loaded
