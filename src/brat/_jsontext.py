@@ -10,7 +10,12 @@ text goes to `json.loads`, which returns the same value or raises its
 own error.  `dumps(value)` equals `json.dumps(value, default=str)`: ints,
 lists and dicts of them and printable ASCII strings with no quote or
 backslash are written here, and any other string and any float by
-`json.dumps`."""
+`json.dumps`.  `pieces(payload)` is the same encoding of an answer, cut
+into strings, and refuses an integer past the digit limit with LimitError."""
+
+from itertools import accumulate
+
+from ._record import TOO_MANY_DIGITS, LimitError, max_digits
 
 # Reading here takes 0.2-0.4 us per character, 0.68 ms for 2100 characters
 # of small integers, the costliest kind, while `import json` takes 1.9-2.9 ms
@@ -23,11 +28,13 @@ DEPTH = 100
 
 _SPACED = str.maketrans({**{mark: " %s " % mark for mark in "[]{},:"}, "\t": " ", "\n": " ", "\r": " "})
 _CONSTANTS = {"true": True, "false": False, "null": None}
-_OUTSIDE, _TOO_DEEP = object(), object()
+_OUTSIDE = object()
+_STEPS = {ord("["): 1, ord("{"): 1, ord("]"): -1, ord("}"): -1}
+_NOT_BRACKETS = bytes(set(range(128)) - set(_STEPS))
 
 
 def _read(text: str):
-    """The value of `text`, _TOO_DEEP, or _OUTSIDE when the text leaves the subset or is malformed."""
+    """The value of `text`, or _OUTSIDE when the text leaves the subset or is malformed."""
     parts = text.split('"')
     if len(parts) % 2 == 0:  # an unterminated string
         return _OUTSIDE
@@ -68,8 +75,6 @@ def _read(text: str):
             value = containers.pop()
         elif token == "[" or token == "{":
             containers.append([] if token == "[" else {})
-            if len(containers) > DEPTH:
-                return _TOO_DEEP
             state = "value" if token == "[" else "key"
             continue
         elif token == "]" and containers and containers[-1] == []:  # an empty array
@@ -96,50 +101,39 @@ def _read(text: str):
     return result if state == "next" and not containers else _OUTSIDE
 
 
-def _depth(value) -> int:
-    """How deep arrays and objects nest in a decoded value, found level by level."""
-    depth, level = 0, [value] if isinstance(value, (list, dict)) else []
-    while level:
-        depth += 1
-        level = [item for node in level for item in (node.values() if isinstance(node, dict) else node)
-                 if isinstance(item, (list, dict))]
-    return depth
-
-
-def _too_deep(text: str, end: int):
-    """The JSONDecodeError at the first bracket of text[:end] nested past DEPTH, or None."""
-    depth, quoted, escaped = 0, False, False
-    for index, char in enumerate(text[:end]):
-        if quoted:  # an unescaped quote ends the string; a backslash escapes the next character
-            quoted, escaped = escaped or char != '"', not escaped and char == "\\"
-        elif char == '"':
-            quoted = True
-        elif char in "[{":
-            depth += 1
-            if depth > DEPTH:
-                from json import JSONDecodeError
-                return JSONDecodeError("Nested more than %d deep" % DEPTH, text, index)
-        elif char in "]}":
-            depth -= 1
-    return None
+def _refuse_deep(text: str, end: int) -> None:
+    """Raise JSONDecodeError at the first bracket of text[:end] nested past DEPTH, if there is one.
+    A string runs from a quote to the next quote no backslash escapes; its contents are blanked
+    with as many spaces, so every bracket keeps its place and one inside a string does not count."""
+    blanked, quoted = [], False
+    for part in text[:end].split('"'):
+        blanked.append(" " * len(part) if quoted else part)
+        # the quote after a part opens a string, or closes one unless an odd run of backslashes escapes it
+        quoted = not quoted or (len(part) - len(part.rstrip("\\"))) % 2 == 1
+    blanked = '"'.join(blanked)
+    # only brackets are left: the ASCII encoding drops each non-ASCII character, lone surrogates too
+    brackets = blanked.encode("ascii", "ignore").translate(None, _NOT_BRACKETS)
+    if max(accumulate(map(_STEPS.__getitem__, brackets)), default=0) <= DEPTH:
+        return
+    depth = 0
+    for index, char in enumerate(blanked):
+        depth += _STEPS.get(ord(char), 0)
+        if depth > DEPTH:
+            from json import JSONDecodeError
+            raise JSONDecodeError("Nested more than %d deep" % DEPTH, text, index) from None
 
 
 def loads(text: str):
     """json.loads(text), with documents nested past DEPTH refused (see the module docstring)."""
-    if len(text) <= SMALL:
-        value = _read(text)
-        if value is _TOO_DEEP:
-            raise _too_deep(text, len(text))
-        if value is not _OUTSIDE:
-            return value
-    import json
-    try:
-        value = json.loads(text)
-    except (RecursionError, json.JSONDecodeError) as exc:  # RecursionError: 1000 deep on Python 3.11
-        # a nest past DEPTH before the error is refused, as the reader refuses it
-        raise _too_deep(text, getattr(exc, "pos", len(text))) or exc from None
-    if text.count("[") + text.count("{") > DEPTH and _depth(value) > DEPTH:
-        raise _too_deep(text, len(text))
+    value = _read(text) if len(text) <= SMALL else _OUTSIDE
+    if value is _OUTSIDE:
+        import json
+        try:
+            value = json.loads(text)
+        except (RecursionError, json.JSONDecodeError) as exc:  # RecursionError: 1000 deep on Python 3.11
+            _refuse_deep(text, getattr(exc, "pos", len(text)))  # a nest past DEPTH before the error is refused
+            raise
+    _refuse_deep(text, len(text))
     return value
 
 
@@ -167,3 +161,25 @@ def dumps(value) -> str:
         return dumps(str(value))  # json.dumps calls default=str on such a value
     import json
     return json.dumps(value, default=str)
+
+
+def pieces(payload: dict) -> list[str]:
+    """Strings that join to json.dumps(payload, default=str) + "\\n" for a
+    non-empty dict with str keys, the shape of every handler's JSON answer.
+    Each top-level list or tuple of rows is encoded one row per string, so
+    no one string holds a large answer.  An integer, or a Rational's term,
+    past the digit limit raises LimitError."""
+    out = []
+    try:
+        for key, value in payload.items():
+            out += [", " if out else "{", dumps(key), ": "]
+            if isinstance(value, (list, tuple)) and value and all(isinstance(row, (list, tuple)) for row in value):
+                out.append("[")
+                for row in value:  # the encoder separates items with ", " at every depth
+                    out += [dumps(row), ", "]
+                out[-1] = "]"
+            else:
+                out.append(dumps(value))
+    except ValueError:  # int-to-str's refusal
+        raise LimitError(TOO_MANY_DIGITS % max_digits()) from None
+    return out + ["}", "\n"]

@@ -3,14 +3,19 @@ fields as annotations, in order, and a class attribute of the same name
 is that field's default.  `__post_init__`, if defined, validates and
 normalizes fields with `object.__setattr__`, and `as_int` is the check
 its integer fields share.  `clipped` and `reason` keep an echoed input short;
-`max_digits` reads Python's int-to-str digit limit, and `LimitError`
-refuses what would pass it."""
+`max_digits` reads Python's int-to-str digit limit, and a LimitError with
+the message TOO_MANY_DIGITS refuses an answer past it."""
 
 import sys
 
 
 class LimitError(OverflowError):
     """A request refused for its size: the CLI reports it as a `limit` error."""
+
+
+# the LimitError message, formatted with the limit, of an answer holding an integer past it
+TOO_MANY_DIGITS = ("the answer holds an integer of more than %d digits, Python's int-to-str limit "
+                   "(sys.get_int_max_str_digits)")
 
 
 def max_digits() -> int:

@@ -13,15 +13,11 @@ import math
 import sys
 import types
 
-from ._jsontext import dumps, loads
-from ._record import LimitError, clipped, max_digits, reason
+from ._jsontext import dumps, loads, pieces
+from ._record import TOO_MANY_DIGITS, LimitError, clipped, max_digits, reason
 from .supernatural import SupernaturalNumber
 
 DEFAULT_DEPTH = 16
-
-
-class InputError(ValueError):
-    """Anything that makes the request unanswerable: exit status 2."""
 
 
 def _emit_error(message: str, kind: str = "input") -> int:
@@ -29,36 +25,12 @@ def _emit_error(message: str, kind: str = "input") -> int:
     return 2
 
 
-def _too_many_digits() -> LimitError:
-    return LimitError("the answer holds an integer of more than %d digits, Python's int-to-str limit "
-                      "(sys.get_int_max_str_digits)" % max_digits())
-
-
-def _json_pieces(payload: dict) -> list[str]:
-    """Strings that join to json.dumps(payload, default=str) + "\\n" for a
-    non-empty dict with str keys, the shape of every handler's JSON answer.
-    Each top-level list of lists is encoded one row per string, so no one
-    string holds a large answer.  An integer past the digit limit raises
-    ValueError."""
-    pieces = []
-    for key, value in payload.items():
-        pieces += [", " if pieces else "{", dumps(key), ": "]
-        if not (isinstance(value, list) and value and all(isinstance(row, list) for row in value)):
-            pieces.append(dumps(value))
-            continue
-        pieces.append("[")
-        for row in value:  # the encoder separates items with ", " at every depth
-            pieces += [dumps(row), ", "]
-        pieces[-1] = "]"
-    return pieces + ["}", "\n"]
-
-
 def _catalog_entry(name: str):
     from .catalog import get_entry
     try:
         return get_entry(name)
     except KeyError as exc:
-        raise InputError(exc.args[0]) from None
+        raise ValueError(exc.args[0]) from None
 
 
 def _load(source: str, want: str):
@@ -67,19 +39,19 @@ def _load(source: str, want: str):
         name = source[len("catalog:"):]
         entry = _catalog_entry(name)
         if entry.kind != want:
-            raise InputError("catalog entry %r is a %s, not a %s" % (name, entry.kind, want))
+            raise ValueError("catalog entry %r is a %s, not a %s" % (name, entry.kind, want))
         return entry.payload
     try:
         with open(source, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
-        raise InputError("cannot read %r: %s" % (source, exc)) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError("cannot read %r: %s" % (source, exc)) from None
     try:
         data = loads(text)
     except ValueError as exc:  # a JSONDecodeError, or a plain ValueError for an integer past the digit limit
         if type(exc) is ValueError:  # main reports it in Python's words
             raise
-        raise InputError("bad JSON in %r: %s" % (source, exc)) from None
+        raise ValueError("bad JSON in %r: %s" % (source, exc)) from None
     if want == "diagram":
         from .bratteli import BratteliDiagram
         return BratteliDiagram.from_data(data)
@@ -97,14 +69,14 @@ def _parse_supernatural(text: str) -> SupernaturalNumber:
     try:
         return SupernaturalNumber.from_data(loads(text))
     except ValueError as exc:
-        raise InputError("bad supernatural number %s: %s" % (clipped(text), exc)) from None
+        raise ValueError("bad supernatural number %s: %s" % (clipped(text), exc)) from None
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise InputError("bad integer vector %s" % clipped(text)) from None
+        raise ValueError("bad integer vector %s" % clipped(text)) from None
 
 
 def _parse_rational(text: str) -> "Rational":
@@ -112,7 +84,7 @@ def _parse_rational(text: str) -> "Rational":
     try:
         return Rational(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError("bad rational %s: %s" % (clipped(text), reason(exc, text))) from None
+        raise ValueError("bad rational %s: %s" % (clipped(text), reason(exc, text))) from None
 
 
 def _parse_group_element(group, text: str):
@@ -121,16 +93,16 @@ def _parse_group_element(group, text: str):
         try:
             return int(text)
         except ValueError:
-            raise InputError("cyclic group elements are integers, got %s" % clipped(text)) from None
+            raise ValueError("cyclic group elements are integers, got %s" % clipped(text)) from None
     parts = text.split(",")
     if len(parts) != 2:
-        raise InputError("quadratic elements look like 'q,z', got %s" % clipped(text))
+        raise ValueError("quadratic elements look like 'q,z', got %s" % clipped(text))
     from .rational import Rational
     echoed = parts[0]  # the text that the failing call echoes
     try:
         return QuadraticElement(Rational(parts[0]), int(echoed := parts[1]))
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError("bad quadratic element %s: %s" % (clipped(text), reason(exc, echoed))) from None
+        raise ValueError("bad quadratic element %s: %s" % (clipped(text), reason(exc, echoed))) from None
 
 
 # -- handlers: (args, loaded source or None, resolved depth or None) ->
@@ -160,13 +132,8 @@ def _towers(args, diagram, depth):
     # the gcds form a divisibility chain, so the last one passes the digit limit
     # exactly when some gcd does; it is refused, and no height is built
     if math.prod(profile.ratios) >= 10 ** max_digits() > 1:
-        raise _too_many_digits()
-    return 0, {
-        "depth": depth,
-        "heights": [list(v) for v in profile.heights],
-        "gcds": list(profile.gcds),
-        "ratios": list(profile.ratios),
-    }
+        raise LimitError(TOO_MANY_DIGITS % max_digits())
+    return 0, {"depth": depth, "heights": profile.heights, "gcds": profile.gcds, "ratios": profile.ratios}
 
 
 def _odometer(args, diagram, depth):
@@ -202,7 +169,7 @@ def _embed(args, diagram, depth):
 def _k0_divides(args, diagram, depth):
     from .bratteli import k0_unit_divisor
     if args.n < 1:
-        raise InputError("--n must be a positive integer")
+        raise ValueError("--n must be a positive integer")
     return _stage_witness(k0_unit_divisor(diagram, args.n, depth), depth)
 
 
@@ -224,7 +191,7 @@ def _theta(args, diagram, depth):
 def _divide(args, diagram, depth):
     from .bratteli import divide_element
     if args.m < 1:
-        raise InputError("--m must be a positive integer")
+        raise ValueError("--m must be a positive integer")
     vector = _parse_vector(args.vector)
     return _stage_witness(divide_element(diagram, vector, args.stage, args.m, depth), depth)
 
@@ -238,20 +205,17 @@ def _sn(args, subject, depth):
     op, operands = args.operation, args.operands
     if op == "ell":
         if len(operands) != 2:
-            raise InputError("ell takes a supernatural number and a stage")
+            raise ValueError("ell takes a supernatural number and a stage")
         number = _parse_supernatural(operands[0])
         try:
             stage = int(operands[1])
         except ValueError:
-            raise InputError("bad stage %s" % clipped(operands[1])) from None
-        try:
-            return 0, {"ell": number.ell(stage, max_digits())}
-        except LimitError:  # refused before any power is built
-            raise _too_many_digits() from None
+            raise ValueError("bad stage %s" % clipped(operands[1])) from None
+        return 0, {"ell": number.ell(stage, max_digits())}  # refused before any power is built
     numbers = [_parse_supernatural(text) for text in operands]
     if op == "divides":
         if len(numbers) != 2:
-            raise InputError("divides takes exactly two operands")
+            raise ValueError("divides takes exactly two operands")
         holds = numbers[0].divides(numbers[1])
         return (0 if holds else 1), {"divides": holds}
     if op == "mul":
@@ -273,13 +237,13 @@ def _group(args, group, depth):
         return (1, {"maxsn": None}) if number is None else (0, {"maxsn": number.to_data()})
     if op == "divides":
         if args.n is None or args.n < 1:
-            raise InputError("divides needs --n with a positive integer")
+            raise ValueError("divides needs --n with a positive integer")
         witness = unit_divisor(group, args.n)
         if isinstance(witness, QuadraticElement):
             witness = witness.to_data()
         return (1 if witness is None else 0), {"witness": witness}
     if args.g is None:  # rsub
-        raise InputError("rsub needs --g with a group element")
+        raise ValueError("rsub needs --g with a group element")
     found = rational_subgroup_member(group, _parse_group_element(group, args.g))
     if found is None:
         return 1, {"member": False}
@@ -362,7 +326,7 @@ def build_parser():
 
     class _Parser(argparse.ArgumentParser):
         def error(self, message):
-            raise InputError(message)
+            raise ValueError(message)
 
     parser = _Parser(prog="brat", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -443,16 +407,12 @@ def main(argv=None) -> int:
         args = _plain_args(argv) or build_parser().parse_args(argv)
         dropped = [name for name, _ in args.row.arguments if name[0] == "-" and vars(args)[name[2:]] in ([], "--")]
         if dropped:  # argparse's `--name=--`: [] before Python 3.13, "--" from 3.13
-            raise InputError("argument %s: expected one argument" % dropped[0])
+            raise ValueError("argument %s: expected one argument" % dropped[0])
         command = args.row
         subject = None if command.source is None else _load(args.source, command.source)
         depth = _depth_for(subject, args.depth) if _DEPTH in command.arguments else None
         status, payload = command.handler(args, subject, depth)
-        try:
-            pieces = [payload] if isinstance(payload, str) else _json_pieces(payload)
-        except ValueError:  # an integer, or a Rational's term, past the digit limit
-            raise _too_many_digits() from None
-        sys.stdout.writelines(pieces)
+        sys.stdout.writelines([payload] if isinstance(payload, str) else pieces(payload))
         return status
     except LimitError as exc:
         return _emit_error(str(exc), "limit")

@@ -17,7 +17,7 @@ import math
 from functools import total_ordering
 from collections.abc import Iterable, Mapping
 
-from ._record import LimitError, Record, as_int, clipped
+from ._record import TOO_MANY_DIGITS, LimitError, Record, as_int, clipped
 from .primes import factorize, is_prime, prime_index
 
 
@@ -145,7 +145,7 @@ class SupernaturalNumber(Record):
         bound = j * (j.bit_length() + 2)
         powers = [(p, min(j, e)) for p, e in self.exponents if p <= j or (p < bound and prime_index(p) <= j)]
         if digits > 0 and sum(k * (p.bit_length() - 1) for p, k in powers) * 10**7 > digits * 33219281:
-            raise LimitError("ell(%d) has more than %d digits" % (j, digits))
+            raise LimitError(TOO_MANY_DIGITS % digits)
         return math.prod(p ** k for p, k in powers)
 
     def contains(self, x: "Rational") -> bool:

@@ -383,3 +383,24 @@ def tensor_diagrams(first: BratteliDiagram, second: BratteliDiagram) -> Bratteli
     matrices = tuple(tuple(tuple(x * y for x in row1 for y in row2) for row1 in matrix(first, n)
                            for row2 in matrix(second, n)) for n in range(1, depth + 1))
     return BratteliDiagram((1, *map(len, matrices)), matrices, REPEAT_LAST if infinite else None)
+
+
+def first_bracket_past(text: str, depth: int) -> int | None:
+    """The index of the first bracket of `text` nested more than `depth`
+    deep, or None, by a character walk that tracks quotes and escapes: a
+    string runs from a quote to the next quote no backslash escapes, a
+    backslash outside a string is a plain character, and a bracket inside a
+    string does not count."""
+    level, quoted, escaped = 0, False, False
+    for index, char in enumerate(text):
+        if quoted:  # an unescaped quote ends the string; a backslash escapes the next character
+            quoted, escaped = escaped or char != '"', not escaped and char == "\\"
+        elif char == '"':
+            quoted = True
+        elif char in "[{":
+            level += 1
+            if level > depth:
+                return index
+        elif char in "]}":
+            level -= 1
+    return None

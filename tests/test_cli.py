@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import brat.bratteli
 import brat.cli
+from brat._record import clipped
 from brat.bratteli import BratteliDiagram
 from brat.catalog import get_entry
 from brat.cli import main
@@ -707,6 +708,14 @@ class TestLoading:
         status, _, err = run(capsys, "mu", "no-such-file.json")
         assert status == 2 and "cannot read" in json.loads(err)["error"]["message"]
 
+    def test_a_file_that_is_not_utf8_is_named(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"levels": [1, 1], "matrices": [[[3]]], "tail": "\xe9"}')
+        message = ("cannot read %r: 'utf-8' codec can't decode byte 0xe9 in position 49: invalid continuation byte"
+                   % str(path))
+        expected = json.dumps({"error": {"type": "input", "message": message}}) + "\n"
+        assert run(capsys, "mu", str(path)) == (2, "", expected)
+
     def test_bad_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{")
@@ -729,6 +738,15 @@ class TestLoading:
         message = source + ": Nested more than 100 deep: line 1 column 101 (char 100)"
         argv = [str(path) if word == "FILE" else path.read_text() if word == "NESTED" else word for word in argv]
         assert run(capsys, *argv) == (2, "", json.dumps({"error": {"type": "input", "message": message}}) + "\n")
+
+    def test_a_nested_operand_with_a_lone_surrogate_is_refused_as_nested(self, capsys):
+        # the byte 0xff of an argv decodes to "\udcff" under surrogateescape; 100000 deep, the decoder
+        # runs out of recursion on every Python, so the whole operand, surrogate and all, is checked
+        operand = "[" * 100000 + "\udcff"
+        message = "bad supernatural number %s: Nested more than 100 deep: line 1 column 101 (char 100)" % (
+            clipped(operand))
+        assert run(capsys, "sn", "mul", operand, '{"2":1}') == (
+            2, "", json.dumps({"error": {"type": "input", "message": message}}) + "\n")
 
     @pytest.mark.parametrize("argv, data, message", [
         (("mu",), {"levels": [1, 1], "matrices": [[["x" * 100000]]]}, "matrix entries must be integers"),
@@ -1192,21 +1210,6 @@ def power_tower(tmp_path, first, second):
     path = tmp_path / "powers.json"
     path.write_text(json.dumps({"levels": [1, 1, 1], "matrices": [[[10**first]], [[10**second]]]}))
     return str(path)
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-10**80, 10**80) | st.fractions()
-    | st.floats() | st.text() | st.just(export_dot(get_entry("example-5.5").payload, 3)),
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=3),
-    max_leaves=16)
-ROWS = st.lists(st.lists(JSON_VALUES, max_size=3) | st.lists(st.lists(JSON_VALUES, max_size=2), max_size=2),
-                max_size=12)
-
-
-@settings(max_examples=300)
-@given(st.dictionaries(st.text(), JSON_VALUES | ROWS, min_size=1, max_size=4))
-def test_json_pieces_join_to_the_one_shot_encoding(payload):
-    assert "".join(brat.cli._json_pieces(payload)) == json.dumps(payload, default=str) + "\n"
 
 
 def test_answer_at_the_digit_limit_prints(capsys, tmp_path):

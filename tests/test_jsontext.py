@@ -1,7 +1,9 @@
 """brat's JSON reader and writer against the json module: `loads` gives
 json.loads's value or its exception, `dumps` gives json.dumps(value,
-default=str), and a document of at most SMALL characters in brat's subset
-is read without importing json."""
+default=str), `pieces` joins to json.dumps(answer, default=str) plus a
+newline, a document of at most SMALL characters in brat's subset is read
+without importing json, and nesting is refused where the quote-tracking
+walk of `oracles.first_bracket_past` finds its first bracket past DEPTH."""
 
 import json
 import subprocess
@@ -12,7 +14,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brat._jsontext import DEPTH, SMALL, dumps, loads
+from brat._jsontext import DEPTH, SMALL, _refuse_deep, dumps, loads, pieces
+from brat.catalog import get_entry
+from brat.dot import export_dot
+from oracles import first_bracket_past
 
 # what JSON documents hold: every scalar json.loads returns, nested a few deep
 VALUES = st.recursive(
@@ -97,6 +102,41 @@ def test_nesting_past_depth_is_refused_at_its_first_bracket(shape, depth):
     assert str(caught.value) == "Nested more than %d deep: line 1 column %d (char %d)" % (DEPTH, at + 1, at)
 
 
+def refused_at(text, end):
+    """The position at which the nesting check refuses text[:end], or None."""
+    try:
+        _refuse_deep(text, end)
+    except json.JSONDecodeError as exc:
+        assert str(exc).startswith("Nested more than %d deep: " % DEPTH)
+        return exc.pos
+    return None
+
+
+@st.composite
+def nests(draw):
+    """A run of about DEPTH openers between texts of brackets, quotes, backslashes, commas and a few others,
+    drawn in pieces so that escapes and quotes meet the brackets around the run's end."""
+    noise = st.lists(st.sampled_from(["[", "{", "]", "}", '"', "\\", '\\"', "\\\\", ",", "a", "0", " ", "\n"]),
+                     max_size=10).map("".join)
+    return draw(noise) + draw(st.text(alphabet="[{", min_size=DEPTH - 3, max_size=DEPTH)) + draw(noise)
+
+
+@settings(max_examples=200)
+@given(nests())
+def test_nesting_check_matches_the_quote_tracking_walk_at_every_cut(text):
+    for end in range(len(text) + 1):
+        assert refused_at(text, end) == first_bracket_past(text[:end], DEPTH)
+
+
+@pytest.mark.parametrize("text, at", [
+    ("[" * DEPTH + "\udcff[", DEPTH + 1),  # past the nest, as a decoder that ran out of recursion leaves it
+    ('["\udcff", %s]' % ("[" * DEPTH + "]" * DEPTH), 6 + DEPTH - 1),  # in a string
+], ids=["outside", "in-a-string"])
+def test_a_lone_surrogate_is_checked_without_an_encoding_error(text, at):
+    # an argv byte that is not UTF-8 decodes to a lone surrogate under surrogateescape
+    assert refused_at(text, len(text)) == first_bracket_past(text, DEPTH) == at
+
+
 class Small(IntEnum):
     ONE = 1
 
@@ -127,3 +167,19 @@ def test_an_integer_past_the_digit_limit_is_refused_as_json_refuses_it():
         assert outcome(loads, text) == outcome(json.loads, text)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**80, 10**80) | st.fractions()
+    | st.floats() | st.text() | st.just(export_dot(get_entry("example-5.5").payload, 3)),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=3),
+    max_leaves=16)
+ROW = st.lists(JSON_VALUES, max_size=3) | st.lists(st.lists(JSON_VALUES, max_size=2), max_size=2)
+# a list of list and tuple rows, or a tuple of tuple rows, as `towers` answers its heights
+ROWS = st.lists(ROW | ROW.map(tuple), max_size=12) | st.lists(ROW.map(tuple), max_size=12).map(tuple)
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(st.text(), JSON_VALUES | ROWS, min_size=1, max_size=4))
+def test_pieces_join_to_the_one_shot_encoding(payload):
+    assert "".join(pieces(payload)) == json.dumps(payload, default=str) + "\n"
