@@ -1,104 +1,45 @@
 """The JSON text brat reads and writes, without importing `json` on the
 common path.
 
-`loads(text)` equals `json.loads(text)` except that a document nested
-more than DEPTH deep is refused on every Python with one JSONDecodeError
-at its first bracket past DEPTH.  A document of at most SMALL characters
-that uses only objects, arrays, integers, strings with no escape or
-control character, and true, false and null is read here; any other
-text goes to `json.loads`, which returns the same value or raises its
-own error.  `dumps(value)` equals `json.dumps(value, default=str)`: ints,
-lists and dicts of them and printable ASCII strings with no quote or
-backslash are written here, and any other string and any float by
-`json.dumps`.  `pieces(payload)` is the same encoding of an answer, cut
-into strings, and refuses an integer past the digit limit with LimitError."""
+`loads(text)` runs json.loads's C scanner, `_json.make_scanner`, wrapped
+as `json.JSONDecoder.decode` wraps it, so each value and error is json's
+own, except that a document nested more than DEPTH deep is refused on
+every Python with one JSONDecodeError at its first bracket past DEPTH;
+`json` is imported only for a decode error or its NaN and infinities.
+`dumps(value)` equals `json.dumps(value, default=str)`: ints, lists and
+dicts of them and printable ASCII strings with no quote or backslash are
+written here, and any other string and any float by `json.dumps`.
+`pieces(payload)` is the same encoding of an answer, cut into strings,
+and refuses an integer past the digit limit with LimitError."""
 
 from itertools import accumulate
 
 from ._record import TOO_MANY_DIGITS, LimitError, max_digits
 
-# Reading here takes 0.2-0.4 us per character, 0.68 ms for 2100 characters
-# of small integers, the costliest kind, while `import json` takes 1.9-2.9 ms
-# (Python 3.11.7, a shared 2-CPU VM), so this reader wins up to about 5000
-# characters; past SMALL, with margin, json's C scanner reads the document.
-SMALL = 2048
 # brat's deepest document, a diagram, nests 4 deep; Python 3.11's decoder
 # runs out of recursion near 1000 deep, while 3.12 and later decode deeper
 DEPTH = 100
 
-_SPACED = str.maketrans({**{mark: " %s " % mark for mark in "[]{},:"}, "\t": " ", "\n": " ", "\r": " "})
-_CONSTANTS = {"true": True, "false": False, "null": None}
-_OUTSIDE = object()
+_WHITESPACE = " \t\n\r"
 _STEPS = {ord("["): 1, ord("{"): 1, ord("]"): -1, ord("}"): -1}
 _NOT_BRACKETS = bytes(set(range(128)) - set(_STEPS))
 
 
-def _read(text: str):
-    """The value of `text`, or _OUTSIDE when the text leaves the subset or is malformed."""
-    parts = text.split('"')
-    if len(parts) % 2 == 0:  # an unterminated string
-        return _OUTSIDE
-    tokens = []  # punctuation and bare words as str, each string as a 1-tuple
-    for index, part in enumerate(parts):
-        if index % 2 == 0:
-            tokens += filter(None, part.translate(_SPACED).split(" "))
-        elif "\\" in part or not part.isprintable():
-            return _OUTSIDE
-        else:
-            tokens.append((part,))
-    containers, keys, state = [], [], "value"
-    for token in tokens:
-        if state == "next":  # after a value: a comma or the closer of its container
-            if not containers:
-                return _OUTSIDE
-            top = containers[-1]
-            if token == ",":
-                state = "key" if top.__class__ is dict else "value"
-                continue
-            if token != ("]" if top.__class__ is list else "}"):
-                return _OUTSIDE
-            value = containers.pop()
-        elif state == "colon":
-            if token != ":":
-                return _OUTSIDE
-            state = "value"
-            continue
-        elif token.__class__ is tuple:  # a key or a string value
-            if state == "key":
-                keys.append(token[0])
-                state = "colon"
-                continue
-            value = token[0]
-        elif state == "key":
-            if token != "}" or containers[-1]:  # only an empty object closes where a key belongs
-                return _OUTSIDE
-            value = containers.pop()
-        elif token == "[" or token == "{":
-            containers.append([] if token == "[" else {})
-            state = "value" if token == "[" else "key"
-            continue
-        elif token == "]" and containers and containers[-1] == []:  # an empty array
-            value = containers.pop()
-        elif token in _CONSTANTS:
-            value = _CONSTANTS[token]
-        else:
-            digits = token[1:] if token[0] == "-" else token
-            if not (digits.isascii() and digits.isdigit() and (digits[0] != "0" or digits == "0")):
-                return _OUTSIDE
-            try:
-                value = int(token)
-            except ValueError:  # past Python's digit limit: json.loads raises the same error
-                return _OUTSIDE
-        if containers:
-            top = containers[-1]
-            if top.__class__ is list:
-                top.append(value)
-            else:
-                top[keys.pop()] = value
-        else:
-            result = value
-        state = "next"
-    return result if state == "next" and not containers else _OUTSIDE
+def _error(message: str, text: str, pos: int):
+    from json import JSONDecodeError
+    return JSONDecodeError(message, text, pos)
+
+
+class _Decoder:
+    """The settings the scanner reads off json's default decoder."""
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_float, parse_int = float, int
+
+    @staticmethod
+    def parse_constant(name: str) -> float:
+        import json
+        return json.loads(name)  # json's own NaN object, which json.loads returns for every NaN
 
 
 def _refuse_deep(text: str, end: int) -> None:
@@ -119,20 +60,25 @@ def _refuse_deep(text: str, end: int) -> None:
     for index, char in enumerate(blanked):
         depth += _STEPS.get(ord(char), 0)
         if depth > DEPTH:
-            from json import JSONDecodeError
-            raise JSONDecodeError("Nested more than %d deep" % DEPTH, text, index) from None
+            raise _error("Nested more than %d deep" % DEPTH, text, index) from None
 
 
 def loads(text: str):
     """json.loads(text), with documents nested past DEPTH refused (see the module docstring)."""
-    value = _read(text) if len(text) <= SMALL else _OUTSIDE
-    if value is _OUTSIDE:
-        import json
-        try:
-            value = json.loads(text)
-        except (RecursionError, json.JSONDecodeError) as exc:  # RecursionError: 1000 deep on Python 3.11
+    from _json import make_scanner
+    if text.startswith("\ufeff"):
+        raise _error("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    start = len(text) - len(text.lstrip(_WHITESPACE))
+    try:
+        value, end = make_scanner(_Decoder)(text, start)
+        if rest := text[end:].lstrip(_WHITESPACE):
+            raise _error("Extra data", text, len(text) - len(rest))
+    except StopIteration as stop:  # no value where the document starts
+        raise _error("Expecting value", text, stop.value) from None
+    except (RecursionError, ValueError) as exc:  # RecursionError: 1000 deep on Python 3.11
+        if exc.__class__ is not ValueError:  # a plain ValueError is an integer past the digit limit
             _refuse_deep(text, getattr(exc, "pos", len(text)))  # a nest past DEPTH before the error is refused
-            raise
+        raise
     _refuse_deep(text, len(text))
     return value
 

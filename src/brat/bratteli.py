@@ -315,6 +315,16 @@ class TowerProfile(Record):
             return OMEGA
         return sum(valuation(r, p) for r in self.walked if r % p == 0)
 
+    def divides(self, n: int) -> bool:
+        """Whether v_p(n) <= exponent(p) at every prime p, with no factorization: n
+        loses the primes of the last period's ratios by repeated gcd, and the rest
+        must divide the product of the walked ratios, read through a carried gcd."""
+        g = math.gcd(n, math.prod(self.walked[-self.period:])) if self.period else 1
+        while g > 1:
+            n //= g
+            g = math.gcd(n, g)
+        return reduce(lambda g, r: math.gcd(g * r, n), self.walked, 1) == n
+
     def odometer(self) -> BratteliDiagram:
         """The single-vertex diagram of the ratios.  It keeps a repeating tail
         only when the ratio is provably constant from the last level on,
@@ -633,15 +643,16 @@ def scale_unit_stage(diagram: BratteliDiagram, x: "Rational", depth: int) -> Dim
     The result appears at the first stage whose height gcd absorbs the
     denominator, as x times the height vector there.  x lies in Q(mu)
     exactly when M_den embeds, so a miss is "outside the rational group"
-    (ValueError) only when `uhf_embeds` answers "no-certified", and "not
-    yet divisible at depth" (DiagramError) otherwise.
-    """
+    (ValueError) only when the walk's period is set and den does not
+    divide its record, and "not yet divisible at depth" (DiagramError)
+    otherwise."""
     from .rational import Rational
     x = Rational(x)
     witness = k0_unit_divisor(diagram, x.denominator, depth)
     if witness is not None:
         return DimensionVector(witness.stage, tuple(e * x.numerator for e in witness.entries))
-    if uhf_embeds(SupernaturalNumber.from_int(x.denominator), diagram, depth) == "no-certified":
+    profile = tower_profile(diagram, depth, keep=False)
+    if profile.period is not None and not profile.divides(x.denominator):
         raise ValueError("%s lies outside the rational group of the invariant" % (x,))
     raise DiagramError("denominator of %s not yet divisible at depth %d" % (x, depth))
 

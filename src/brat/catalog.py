@@ -30,7 +30,6 @@ first stage from which every stage ratio is 1, where the tail repeats;
 the certified invariant is then exactly the factorization of n.
 """
 
-from ._jsontext import dumps, loads
 from ._record import Record
 from .supernatural import SupernaturalNumber
 
@@ -91,6 +90,13 @@ _FIXED_ENTRIES = {
 }
 
 
+def _copied(value):
+    # the nested dicts and lists of `expected` are copied, so no caller can change the table
+    if value.__class__ is dict:
+        return {key: _copied(item) for key, item in value.items()}
+    return list(map(_copied, value)) if value.__class__ is list else value
+
+
 def catalog_names() -> list[str]:
     """Fixed entry names; uhf-<n> is additionally accepted for n >= 1."""
     return sorted(_FIXED_ENTRIES)
@@ -106,8 +112,7 @@ def get_entry(name: str) -> CatalogEntry:
         else:
             from .bratteli import BratteliDiagram
             kind, payload = "diagram", BratteliDiagram.from_data(data)
-        # a JSON round trip copies `expected`, so no caller can change the table
-        return CatalogEntry(name, kind, payload, entry["note"], loads(dumps(entry["expected"])))
+        return CatalogEntry(name, kind, payload, entry["note"], _copied(entry["expected"]))
     if name.startswith("uhf-"):
         suffix = name[len("uhf-"):]
         try:

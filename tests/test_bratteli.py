@@ -213,10 +213,12 @@ class TestTowerProfile:
         profile = tower_profile(swap, 10, keep=False)
         assert (profile.walked, profile.period) == ((1, 2, 1), 2)
         assert [profile.exponent(p) for p in (2, 3)] == [OMEGA, 0]
+        assert [profile.divides(n) for n in (2**70, 3, 2**70 * 3)] == [True, False, False]
         assert maximal_uhf(swap, 10) == MuResult(SupernaturalNumber({2: OMEGA}), CERTIFIED)
         # a finite diagram walked to its end has period 0; one cut short, None
         walks = tower_profile(FINDIM, 1), tower_profile(FINDIM, 0)
         assert [(walk.period, walk.exponent(2)) for walk in walks] == [(0, 1), (None, 0)]
+        assert [(walk.divides(2), walk.divides(4)) for walk in walks] == [(True, False), (False, False)]
 
     def test_findim(self):
         profile = tower_profile(FINDIM, 1)

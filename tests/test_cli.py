@@ -639,6 +639,8 @@ class TestCatalog:
     def test_lookups_share_no_expected_dict(self):
         get_entry("findim-4-6").expected["mu"]["value"] = "x"
         assert get_entry("findim-4-6").expected == {"mu": {"value": {"2": 1}, "exactness": "certified"}}
+        get_entry("example-5.5").expected["gcds_0_4"].append(81)
+        assert get_entry("example-5.5").expected["gcds_0_4"] == [1, 1, 3, 9, 27]
 
     def test_unknown(self, capsys):
         status, _, err = run(capsys, "catalog", "uhf-0")
@@ -1052,6 +1054,16 @@ def test_embed_and_a_theta_miss_factor_no_ratio(tmp_path, argv, status, out, err
     path.write_text(json.dumps({"levels": [1, 1, 1], "matrices": [[[1]], [[P56 * Q56]]], "tail": "repeat-last"}))
     proc = capped_brat(argv[0], str(path), *argv[1:], cpu_s=2)
     assert (proc.returncode, proc.stdout, proc.stderr) == (status, out, err)
+
+
+def test_a_theta_miss_factors_no_denominator():
+    # 1/(p*q) with two primes just past 2**56: the miss strips the tail's
+    # primes by gcd and divides the rest into the walked ratios, splitting nothing
+    p, q = 72057594037940309, 72057594038927983
+    proc = capped_brat("theta", E55, "--x", "1/%d" % (p * q), cpu_s=2)
+    message = "1/%d lies outside the rational group of the invariant" % (p * q)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", json.dumps({"error": {"type": "input", "message": message}}) + "\n")
 
 
 @pytest.mark.parametrize("command", ["towers", "odometer", "premorphism"])

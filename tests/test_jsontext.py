@@ -1,9 +1,9 @@
 """brat's JSON reader and writer against the json module: `loads` gives
 json.loads's value or its exception, `dumps` gives json.dumps(value,
 default=str), `pieces` joins to json.dumps(answer, default=str) plus a
-newline, a document of at most SMALL characters in brat's subset is read
-without importing json, and nesting is refused where the quote-tracking
-walk of `oracles.first_bracket_past` finds its first bracket past DEPTH."""
+newline, a document of any size is read without importing json, and
+nesting is refused where the quote-tracking walk of
+`oracles.first_bracket_past` finds its first bracket past DEPTH."""
 
 import json
 import subprocess
@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brat._jsontext import DEPTH, SMALL, _refuse_deep, dumps, loads, pieces
+from brat._jsontext import DEPTH, _refuse_deep, dumps, loads, pieces
 from brat.catalog import get_entry
 from brat.dot import export_dot
 from oracles import first_bracket_past
@@ -70,20 +70,22 @@ def test_json_edge_cases_read_as_json_reads_them(text):
     assert outcome(loads, text) == outcome(json.loads, text)
 
 
-def small_document(size):
+def padded_document(size):
     """A diagram document of exactly `size` characters, padded with a note."""
     head = '{"levels": [1, 2, 2], "matrices": [[[1], [1]], [[2, 1], [1, 2]]], "tail": "repeat-last", "note": "'
     return head + "x" * (size - len(head) - 2) + '"}'
 
 
-@pytest.mark.parametrize("size, imports_json", [(SMALL, False), (SMALL + 1, True)])
-def test_documents_on_each_side_of_small(size, imports_json):
-    text = small_document(size)
+# 2048 and 2049 characters lay on each side of the size past which an
+# earlier reader handed a document to json.loads
+@pytest.mark.parametrize("size", [2048, 2049, 40000])
+def test_documents_of_every_size_load_without_json(size):
+    text = padded_document(size)
     assert len(text) == size
     code = ("import sys; from brat._jsontext import loads; value = loads(sys.stdin.read())\n"
             "print(repr(value)); print('json' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], input=text, capture_output=True, text=True, timeout=60)
-    assert (proc.stdout, proc.stderr) == ("%r\n%s\n" % (json.loads(text), imports_json), "")
+    assert (proc.stdout, proc.stderr) == ("%r\nFalse\n" % (json.loads(text),), "")
 
 
 @pytest.mark.parametrize("depth", [DEPTH, DEPTH + 1, 1000, 5000])
@@ -91,8 +93,8 @@ def test_documents_on_each_side_of_small(size, imports_json):
 def test_nesting_past_depth_is_refused_at_its_first_bracket(shape, depth):
     opener, closer = {"array": ("[", "]"), "object": ('{"k": ', "}"), "truncated": ("[", ""),
                       "escaped": ('["\\"[", ', "]"), "extra-data": ("[", "]")}[shape]
-    # extra data past SMALL: json.loads decodes the nest, then fails after it
-    text = opener * depth + "1" + closer * depth + (" " * SMALL + "x" if shape == "extra-data" else "")
+    # extra data: the scanner decodes the nest, then fails after it
+    text = opener * depth + "1" + closer * depth + (" " * 2048 + "x" if shape == "extra-data" else "")
     if depth <= DEPTH:
         assert outcome(loads, text) == outcome(json.loads, text)
         return
@@ -160,10 +162,10 @@ def test_dumps_refuses_an_integer_past_the_digit_limit_as_json_does():
 
 def test_an_integer_past_the_digit_limit_is_refused_as_json_refuses_it():
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)  # the lowest limit Python allows, so a small document passes it
+    sys.set_int_max_str_digits(640)  # the lowest limit Python allows, so a short document passes it
     try:
         text = "[1, %s]" % ("7" * 700)
-        assert len(text) <= SMALL and outcome(loads, text)[0] is ValueError
+        assert outcome(loads, text)[0] is ValueError
         assert outcome(loads, text) == outcome(json.loads, text)
     finally:
         sys.set_int_max_str_digits(limit)

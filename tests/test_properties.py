@@ -117,6 +117,33 @@ def test_theta_outside_is_never_found_deeper(diagram, extra, denominator):
         assert k0_unit_divisor(diagram, denominator, depth + 30) is None
 
 
+@settings(max_examples=300)
+@given(diagrams(**WIDE), st.integers(0, 6), st.data())
+def test_a_theta_miss_is_outside_exactly_when_embed_says_no_certified(diagram, extra, data):
+    # the miss reads the walk with no factorization; uhf_embeds reads it at
+    # the factorized denominator, as theta asked before.  The denominator is
+    # a product of walked ratios, which may divide the invariant together,
+    # times primes the invariant may lack
+    depth = _depth(diagram, extra)
+    profile = tower_profile(diagram, depth, keep=False)
+    ratios = data.draw(st.lists(st.sampled_from(profile.walked), max_size=4))
+    primes = data.draw(st.lists(st.sampled_from(SMALL_PRIMES + (23, 1000003)), max_size=3))
+    denominator = math.prod(ratios + primes)
+    number = SupernaturalNumber.from_int(denominator)
+    assert profile.divides(denominator) == all(e <= profile.exponent(p) for p, e in number.items())
+    try:
+        scale_unit_stage(diagram, Fraction(1, denominator), depth)
+        answer = "hit"
+    except DiagramError:
+        answer = "not yet"
+    except ValueError:
+        answer = "outside"
+    if k0_unit_divisor(diagram, denominator, depth) is not None:
+        assert answer == "hit"
+    else:
+        assert (answer == "outside") == (uhf_embeds(number, diagram, depth) == "no-certified")
+
+
 @settings(max_examples=200)
 @given(diagrams(**WIDE), st.integers(0, 6), st.data())
 def test_an_odometer_factor_scales_mu_and_keeps_its_exactness(diagram, extra, data):

@@ -1,6 +1,7 @@
 """The contract every brat record keeps: construction, defaults, equality,
 hashing, immutability, repr and pickling."""
 
+import json
 import pickle
 import subprocess
 import sys
@@ -155,21 +156,27 @@ def test_validation_errors(build, message):
 
 
 # a plain request loads none of these, nor the layers listed with it; FILE is a
-# small diagram file, which brat reads without json
+# small diagram file and WIDE one of more than 2048 characters, which brat reads
+# without json; a request that reads no JSON text loads no `_json` either
 UNUSED_AT_START = {"dataclasses", "inspect", "argparse", "gettext", "locale", "fractions", "decimal", "numbers",
                    "json", "typing", "random", "__future__"}
 PLAIN_REQUESTS = [
-    (["mu", "catalog:example-5.5"], {"brat.ordered_group", "brat.dot", "brat.rational"}),
+    (["mu", "catalog:example-5.5"], {"brat.ordered_group", "brat.dot", "brat.rational", "_json"}),
     (["mu", "FILE"], {"brat.ordered_group", "brat.dot", "brat.rational", "brat.catalog"}),
+    (["mu", "WIDE"], {"brat.ordered_group", "brat.dot", "brat.rational", "brat.catalog"}),
     (["sn", "mul", '{"2":1}', '{"3":1}'], {"brat.bratteli", "brat.rational"}),
-    (["group", "maxsn", "catalog:cone-2-3-unit-2"], {"brat.rational"}),
-    (["catalog"], {"brat.rational"}),
+    (["group", "maxsn", "catalog:cone-2-3-unit-2"], {"brat.rational", "_json"}),
+    (["catalog"], {"brat.rational", "_json"}),
 ]
 
 
 def test_import_loads_neither_dataclasses_nor_inspect(tmp_path):
     (tmp_path / "fib.json").write_text('{"levels": [1, 2, 2], "matrices": [[[1], [1]], [[1, 1], [1, 0]]], '
                                        '"tail": "repeat-last"}')
+    identity = [[int(i == j) for j in range(30)] for i in range(30)]
+    (tmp_path / "wide.json").write_text(json.dumps({"levels": [1, 30, 30], "matrices": [[[1]] * 30, identity],
+                                                    "tail": "repeat-last"}))
+    assert (tmp_path / "wide.json").stat().st_size > 2048
     code = ("import sys; before = set(sys.modules); import brat, brat.cli; "
             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
@@ -179,7 +186,8 @@ def test_import_loads_neither_dataclasses_nor_inspect(tmp_path):
             "try: runpy.run_module('brat', run_name='__main__')\n"
             "finally: sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))")
     for argv, layers in PLAIN_REQUESTS:
-        argv = [str(tmp_path / "fib.json") if word == "FILE" else word for word in argv]
+        files = {"FILE": "fib.json", "WIDE": "wide.json"}
+        argv = [str(tmp_path / files[word]) if word in files else word for word in argv]
         proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60)
         loaded = set(proc.stderr.split())
         assert proc.returncode == 0 and proc.stdout and "brat.cli" in loaded
