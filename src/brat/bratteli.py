@@ -76,7 +76,7 @@ from collections.abc import Sequence
 
 from ._record import Record, as_int, clipped
 from .primes import factorize, prime_index, valuation
-from .supernatural import OMEGA, Exponent, SupernaturalNumber
+from .supernatural import OMEGA, Exponent, SupernaturalNumber, divides_times_powers
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -316,14 +316,8 @@ class TowerProfile(Record):
         return sum(valuation(r, p) for r in self.walked if r % p == 0)
 
     def divides(self, n: int) -> bool:
-        """Whether v_p(n) <= exponent(p) at every prime p, with no factorization: n
-        loses the primes of the last period's ratios by repeated gcd, and the rest
-        must divide the product of the walked ratios, read through a carried gcd."""
-        g = math.gcd(n, math.prod(self.walked[-self.period:])) if self.period else 1
-        while g > 1:
-            n //= g
-            g = math.gcd(n, g)
-        return reduce(lambda g, r: math.gcd(g * r, n), self.walked, 1) == n
+        """Whether v_p(n) <= exponent(p) at every prime p, by `divides_times_powers`."""
+        return divides_times_powers(n, self.walked, math.prod(self.walked[-self.period:]) if self.period else 1)
 
     def odometer(self) -> BratteliDiagram:
         """The single-vertex diagram of the ratios.  It keeps a repeating tail

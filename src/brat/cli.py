@@ -244,7 +244,11 @@ def _group(args, group, depth):
         return (1 if witness is None else 0), {"witness": witness}
     if args.g is None:  # rsub
         raise ValueError("rsub needs --g with a group element")
-    found = rational_subgroup_member(group, _parse_group_element(group, args.g))
+    element = _parse_group_element(group, args.g)
+    try:
+        found = rational_subgroup_member(group, element)
+    except ValueError:  # the one refusal a parsed element can meet
+        raise ValueError("element %s lies outside the group" % clipped(args.g)) from None
     if found is None:
         return 1, {"member": False}
     return 0, {"member": True, "m": found[0], "q": found[1]}

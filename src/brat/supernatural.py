@@ -14,7 +14,7 @@ act on exponents directly, and min(j, OMEGA) = j.
 """
 
 import math
-from functools import total_ordering
+from functools import reduce, total_ordering
 from collections.abc import Iterable, Mapping
 
 from ._record import TOO_MANY_DIGITS, LimitError, Record, as_int, clipped
@@ -49,6 +49,17 @@ class _Omega:
 OMEGA = _Omega()
 
 Exponent = int | _Omega
+
+
+def divides_times_powers(n: int, factors: Iterable[int], q: int) -> bool:
+    """Whether n divides F * q**k for some k, F the product of `factors`, with no
+    factorization: n loses every prime of q by repeated gcd, and what is left
+    must divide F, read through the carried gcd(g * f, n)."""
+    g = math.gcd(n, q)
+    while g > 1:
+        n //= g
+        g = math.gcd(n, g)
+    return reduce(lambda g, f: math.gcd(g * f, n), factors, 1) == n
 
 
 class SupernaturalNumber(Record):
@@ -149,9 +160,11 @@ class SupernaturalNumber(Record):
         return math.prod(p ** k for p, k in powers)
 
     def contains(self, x: "Rational") -> bool:
-        """Whether x lies in Q(self): the denominator divides self."""
-        from .rational import Rational
-        return SupernaturalNumber.from_int(Rational(x).denominator).divides(self)
+        """Whether x lies in Q(self), by `divides_times_powers`; each exponent is
+        capped at the denominator's bit length, which no v_p of it reaches."""
+        d = x.denominator
+        return divides_times_powers(d, (p ** min(e, d.bit_length()) for p, e in self.exponents if e is not OMEGA),
+                                    math.prod(p for p, e in self.exponents if e is OMEGA))
 
     def to_data(self) -> dict[str, object]:
         """JSON-ready form: decimal prime keys in numeric order, values

@@ -276,6 +276,12 @@ def fraction_in_group(h: SupernaturalNumber, q: Fraction) -> bool:
     return den == 1
 
 
+def factored_contains(h: SupernaturalNumber, q) -> bool:
+    """Whether q lies in Q(h) by factorizing its denominator: the denominator's
+    supernatural number divides h."""
+    return SupernaturalNumber.from_int(q.denominator).divides(h)
+
+
 def fraction_unit_divisor(group, n: int):
     """unit/n as (rational part, coefficient) when it lies in the group, else None."""
     q, z = fraction(group.unit.q) / n, Fraction(group.unit.z, n)

@@ -598,8 +598,8 @@ class TestGroup:
         assert status == 2 and "--n" in json.loads(err)["error"]["message"]
 
     def test_outside_group_element(self, capsys):
-        status, _, err = run(capsys, "group", "rsub", "catalog:quadratic-sqrt2", "--g", "1/3,0")
-        assert status == 2 and "outside the group" in json.loads(err)["error"]["message"]
+        assert run(capsys, "group", "rsub", "catalog:quadratic-sqrt2", "--g", "1/3,0") == (
+            2, "", '{"error": {"type": "input", "message": "element \'1/3,0\' lies outside the group"}}\n')
 
     @pytest.mark.parametrize("argv, message", [
         (("catalog:cone-2-3-unit-2",), "rsub needs --g with a group element"),
@@ -914,6 +914,26 @@ def capped_brat(*argv, cap_mb=512, cpu_s=None):
 
     return subprocess.run([sys.executable, "-m", "brat", *argv],
                           capture_output=True, text=True, timeout=60, preexec_fn=cap)
+
+
+SEMIPRIME = 281474976723029 * 281474977710673  # two 48-bit primes: rho takes about 10 s to split them
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("group", "rsub", "catalog:quadratic-sqrt2", "--g", "1/%d,0" % SEMIPRIME),
+     (2, "", '{"error": {"type": "input", "message": "element \'1/%d,0\' lies outside the group"}}\n' % SEMIPRIME)),
+    (("group", "propd", "unit.json"),
+     (2, "", '{"error": {"type": "input", "message": "bad group description: unit rational part 1/%d '
+             'lies outside Q(h)"}}\n' % SEMIPRIME)),
+    (("group", "divides", "catalog:quadratic-sqrt2", "--n", str(SEMIPRIME)), (1, '{"witness": null}\n', "")),
+], ids=["rsub", "unit", "divides"])
+def test_q_n_membership_of_a_semiprime_factors_nothing(tmp_path, argv, expected):
+    # Q(2^w) membership under a 2 s CPU cap, where factoring the semiprime would not finish
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps({"kind": "quadratic", "H": {"2": "inf"}, "alpha_square": 2,
+                                "unit": {"k": "1/%d" % SEMIPRIME, "z": 0}}))
+    proc = capped_brat(*(str(path) if arg == "unit.json" else arg for arg in argv), cpu_s=2)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
 def test_out_of_memory_is_a_limit_error_not_a_no(tmp_path):

@@ -2,13 +2,14 @@ import copy
 import math
 import pickle
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from brat.supernatural import OMEGA, SupernaturalNumber
 from gen import SMALL_PRIMES, finite_supernaturals, supernaturals
-from oracles import naive_ell
+from oracles import factored_contains, naive_ell
 
 # the 303 primes below 2000, by trial division: stage j <= 300 then meets
 # support primes below j, between j and j * (j.bit_length() + 2), and past it
@@ -213,6 +214,25 @@ class TestRationalGroup:
         assert n.contains(Fraction(7))
         assert SupernaturalNumber().contains(Fraction(3))
         assert not SupernaturalNumber().contains(Fraction(1, 2))
+        assert SupernaturalNumber({2: 10**18}).contains(Fraction(1, 2**64))  # builds no 2**(10**18)
+
+    @given(
+        st.dictionaries(st.sampled_from(SMALL_PRIMES),
+                        st.one_of(st.integers(1, 6), st.integers(10**9 - 3, 10**9), st.just(OMEGA)),
+                        max_size=4).map(SupernaturalNumber),
+        st.data(),
+    )
+    def test_contains_is_the_factoring_rule(self, n, data):
+        # a denominator of n's primes, a small exponent up to 2 past its own, times primes outside n
+        den = 1
+        for p, e in n.items():
+            den *= p ** data.draw(st.integers(0, e + 2 if e is not OMEGA and e < 10 else 40), label=str(p))
+        outside = [p for p in SMALL_PRIMES + (23, 101, 65537, 1000003) if not n.exponent(p)]
+        den *= math.prod(data.draw(st.lists(st.sampled_from(outside), max_size=2), label="outside"))
+        x = Fraction(data.draw(st.integers(-50, 50), label="numerator"), den)
+        expected = factored_contains(n, x)
+        with mock.patch("brat.supernatural.factorize", side_effect=AssertionError("contains factorized")):
+            assert n.contains(x) == expected
 
     @given(supernaturals())
     def test_contains_one_and_integers(self, n):
