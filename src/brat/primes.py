@@ -4,10 +4,13 @@ Everything here is exact and works on arbitrary-precision integers.
 Primality is decided deterministically below 2**64 through a fixed
 Miller-Rabin base set; above that bound we run 40 Miller-Rabin rounds
 with bases drawn from a generator seeded by the input, so repeated
-calls give identical answers.  Factorization does trial division by
-the small primes first and hands any remaining cofactor to Pollard's
-rho (Brent variant).  A prime's index is counted in a sieve local to
-the call, so nothing is kept between calls.
+calls give identical answers.  Factorization divides each prime out
+whole, from what is left of n and from every piece still to be split,
+so no prime is found twice: first the primes up to 47, then the ones
+Pollard's rho (Brent variant) splits off.  Rho tries gcd(n, 2**n - 2)
+first, which is p for n = p**k unless p is a Wieferich prime (1093 or
+3511); Brent's cycle starts from n, with no random draw.  A prime's
+index is counted in a sieve local to the call, so nothing is kept.
 """
 
 import math
@@ -53,16 +56,15 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    # Brent's cycle finding; n must be odd and composite (prime powers
-    # included).  Returns a nontrivial factor.
-    import random
-    rng = random.Random(n ^ 0x5EED)
+    # A nontrivial factor of the odd composite n (see the module docstring).
+    g = math.gcd(n, pow(2, n, n) - 2)
+    if 1 < g < n:
+        return g
+    c = 1 + n % 65521
     while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
         m = 128
         g = r = q = 1
-        x = ys = y
+        x = ys = y = 2
         while g == 1:
             x = y
             for _ in range(r):
@@ -83,6 +85,7 @@ def _pollard_rho(n: int) -> int:
                 g = math.gcd(abs(x - ys), n)
         if g != n:
             return g
+        c += 1
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -90,19 +93,16 @@ def factorize(n: int) -> dict[int, int]:
     if n < 1:
         raise ValueError("factorize expects a positive integer, got %r" % (n,))
     factors: dict[int, int] = {}
-    for p in _TRIAL_PRIMES:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
+    pending = [n, *(p for p in _TRIAL_PRIMES if n % p == 0)]
+    while n > 1:
+        m = pending.pop()
+        if not is_prime(m):
+            d = _pollard_rho(m)
+            pending += m // d, d
             continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
+        factors[m] = e = valuation(n, m)
+        n //= m**e
+        pending = [r for q in pending if (r := q // m**valuation(q, m)) > 1]
     return dict(sorted(factors.items()))
 
 

@@ -936,6 +936,30 @@ def test_q_n_membership_of_a_semiprime_factors_nothing(tmp_path, argv, expected)
     assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
+M61 = 2**61 - 1
+
+
+@pytest.mark.parametrize("argv, document, expected", [
+    (("mu",), {"levels": [1, 1], "matrices": [[[M61**2]]]},
+     (0, '{"mu": {"%d": 2}, "exactness": "certified"}\n' % M61, "")),
+    (("group", "maxsn"), {"kind": "quadratic", "H": {"2": "inf"}, "alpha_square": 2 * M61**2,
+                          "unit": {"k": "1", "z": 0}},
+     (2, "", '{"error": {"type": "input", "message": "bad group description: alpha_square must be square-free '
+             'and >= 2, got %d"}}\n' % (2 * M61**2))),
+    (("group", "maxsn"), {"kind": "cyclic", "generators": [2, 3], "unit": M61**2},
+     (0, '{"maxsn": {"%d": 1}}\n' % M61, "")),
+    (("mu",), {"levels": [1, 1], "matrices": [[[(2**31 - 1)**24]]]},
+     (0, '{"mu": {"%d": 24}, "exactness": "certified"}\n' % (2**31 - 1), "")),
+], ids=["mu-square", "squarefree", "maxsn-square", "mu-24th-power"])
+def test_a_prime_power_is_factored_at_once(tmp_path, argv, document, expected):
+    # under a 2 s CPU cap: rho would need about 1.5e9 steps to split (2^61 - 1)^2,
+    # and one rho run per prime factor counted would take about 3 s on (2^31 - 1)^24
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    proc = capped_brat(*argv, str(path), cpu_s=2)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
 def test_out_of_memory_is_a_limit_error_not_a_no(tmp_path):
     # three generators need the residue table of the smallest one, which
     # would take about 16 GB
